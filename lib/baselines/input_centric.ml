@@ -233,7 +233,7 @@ let generic_tune ?(key = "") ?(show = fun _ -> "") ~strategy ~budget ~device
      selected schedule is identical to the sequential path's. *)
   let measure_batch scheds =
     let lats =
-      Hidet_sched.Parallel.map
+      Hidet_parallel.Parallel.map
         (fun (i, s) -> measure_idx i s)
         (Array.of_list (List.mapi (fun i s -> (i, s)) scheds))
     in

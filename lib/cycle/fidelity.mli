@@ -7,16 +7,8 @@
     [Perf_model]'s cycle model at link time. *)
 
 type t = Hidet_gpu.Perf_model.fidelity
-
-val of_string : string -> t option
-val to_string : t -> string
-
-val cache_suffix : t -> string
-(** Schedule-cache key suffix: [""] for analytic (keys unchanged),
-    ["#cycle"] for cycle mode. *)
-
-val set_default : t -> unit
-val default : unit -> t
+(** The enum lives in [Perf_model]; parse, print, default and cache-key
+    suffix through [Perf_model.fidelity_*]. *)
 
 type extras = {
   txn_per_access : float;  (** mean coalesced transactions per warp access *)

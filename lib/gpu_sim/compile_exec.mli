@@ -2,32 +2,23 @@
 
     {!Interp} walks the statement tree for every thread of every block,
     re-resolving variables through a map and buffers through hash tables at
-    each step. This backend instead walks the [Kernel.t] {e once} and
-    compiles it to [unit -> unit] thread programs:
+    each step. This backend takes {!Lower}'s typed, slot-resolved form of
+    the kernel and turns it {e once} into closures over a per-thread record:
 
-    - variables live in per-thread unboxed frames ([int array] /
-      [float array] / [bool array]) at slots fixed at compile time;
-    - buffers are resolved at compile time to slots in a per-thread
+    - variables live in unboxed frames ([int array] / [float array] /
+      [bool array], plus a boxed [Expr.value array] for the [Dyn] type) at
+      the slots {!Lower} assigned;
+    - buffers are read through the slots {!Lower} assigned in a per-thread
       [float array array] (no [Hashtbl] in the hot loop);
-    - [Buffer.flat_index] is strength-reduced to precomputed strides with
-      per-dimension bounds checks identical to the reference;
-    - expression trees are specialized into unboxed [float]/[int]/[bool]
-      closures (a boxed [Expr.value] fallback handles the rare
-      statically-untypeable expression, with {!Expr.eval}'s exact dynamic
-      dispatch);
-    - MMA tiles index by stride arithmetic instead of per-element list
-      rebuilding.
+    - [Buffer.flat_index] is strength-reduced to strides, with dedicated
+      closures for ranks 1-4 and the reference's per-dimension bounds
+      checks;
+    - each expression becomes a closure at its static type, so int, float
+      and bool arithmetic run unboxed.
 
-    [Sync_threads] still runs on {!Interp}'s effect-handler barrier
-    machinery ({!Interp.start_thread} / {!Interp.barrier_loop}), so
-    {!Interp.Barrier_divergence} and {!Interp.Invalid_access} semantics are
-    bit-identical to the legacy interpreter, which remains the reference.
-
-    The grid loop runs blocks on concurrent domains when the verifier
-    proves blocks write disjoint global memory
-    ({!Verify.block_disjoint_writes}); otherwise — or with
-    [~parallel:false] — blocks run sequentially, exactly like the
-    reference. *)
+    Launch, barriers and the parallel grid are {!Lower.run}'s, shared with
+    {!Exec_ocaml}: [Barrier_divergence] and [Invalid_access] semantics stay
+    identical to the legacy interpreter, which remains the reference. *)
 
 type compiled
 (** A kernel compiled to thread programs; reusable across launches. *)
@@ -36,8 +27,6 @@ val compile : Hidet_ir.Kernel.t -> compiled
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
     kernel. Records compile wall time in the [sim.compile_us] metric and a
     [sim.compile] trace span. *)
-
-val kernel : compiled -> Hidet_ir.Kernel.t
 
 val parallel_grid : compiled -> bool
 (** Whether the verifier proved per-block write disjointness, i.e. whether
@@ -61,11 +50,3 @@ val run :
   (Hidet_ir.Buffer.t * float array) list ->
   unit
 (** [compile] + [run_compiled]: drop-in replacement for [Interp.run]. *)
-
-val run_alloc :
-  ?parallel:bool ->
-  Hidet_ir.Kernel.t ->
-  inputs:(Hidet_ir.Buffer.t * float array) list ->
-  outputs:Hidet_ir.Buffer.t list ->
-  float array list
-(** Drop-in replacement for [Interp.run_alloc]. *)

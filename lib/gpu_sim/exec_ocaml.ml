@@ -1,68 +1,30 @@
 open Hidet_ir
+open Lower
 module Metrics = Hidet_obs.Metrics
 module Trace = Hidet_obs.Trace
-module Int_map = Map.Make (Int)
+module B = Stdlib.Buffer
 
 (* ------------------------------------------------------------------ *)
-(* Codegen                                                            *)
+(* Printer                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The printer is a one-for-one transliteration of [Compile_exec]'s closure
-   compiler: the same slot assignment, the same static type dispatch, the
-   same evaluation order (OCaml applications evaluate right to left in both
-   the closures and the generated operators; wherever the closure backend
-   sequences explicitly with lets, the generated code emits lets in the
-   same order), and the same error raisers — so results, statement counts
-   and raised exceptions are bit-identical across the three backends.
+(* Prints {!Lower}'s form as OCaml source: frame slots become let-bound
+   names and for-loop indices, buffer slots become locals bound once in the
+   prelude, dimensions become literals, and each access runs the same
+   per-dimension bounds checks as the closures before an unsafe read or
+   write (the checks make it safe: [check_bindings] and the launch
+   allocator guarantee exact array sizes). Two-operand nodes print as OCaml
+   operators, whose operands ocamlopt evaluates right to left like the
+   closures'; where the closures sequence explicitly, the source binds the
+   same order with lets. *)
 
-   What changes is the execution model: IR variables become OCaml lets and
-   for-loop indices (no frames), buffers and their dimensions become
-   let-bound locals hoisted into the prelude, and loads/stores become
-   [Array.unsafe_get]/[unsafe_set] guarded by the same per-dimension bounds
-   checks the closures perform (the checks make the unsafe access safe:
-   [check_bindings] and the allocator guarantee exact array sizes). *)
+type out = { b : B.t; mutable tmp : int }
 
-type gexpr =
-  | G_int of string
-  | G_float of string
-  | G_bool of string
-  | G_dyn of string
+let s o str = B.add_string o.b str
 
-type gstate = {
-  buf_slot : (int, int) Hashtbl.t;  (** Buffer.id -> bufs slot *)
-  mutable tmp : int;  (** fresh-name counter *)
-}
-
-let fresh st base =
-  st.tmp <- st.tmp + 1;
-  Printf.sprintf "%s%d" base st.tmp
-
-let raw = function G_int s | G_float s | G_bool s | G_dyn s -> s
-
-(* Coercions mirror [Compile_exec.as_int]/[as_float]/[as_bool]/[as_value]. *)
-let as_int = function
-  | G_int s -> s
-  | G_float s -> Printf.sprintf "(int_of_float %s)" s
-  | G_bool s -> Printf.sprintf "(if %s then 1 else 0)" s
-  | G_dyn s -> Printf.sprintf "(R.int_of_value %s)" s
-
-let as_float = function
-  | G_float s -> s
-  | G_int s -> Printf.sprintf "(float_of_int %s)" s
-  | G_bool s -> Printf.sprintf "(if %s then 1. else 0.)" s
-  | G_dyn s -> Printf.sprintf "(R.float_of_value %s)" s
-
-let as_bool = function
-  | G_bool s -> s
-  | G_int s -> Printf.sprintf "(%s <> 0)" s
-  | G_float s -> Printf.sprintf "(%s <> 0.)" s
-  | G_dyn s -> Printf.sprintf "(R.bool_of_value %s)" s
-
-let as_value = function
-  | G_int s -> Printf.sprintf "(R.V_int %s)" s
-  | G_float s -> Printf.sprintf "(R.V_float %s)" s
-  | G_bool s -> Printf.sprintf "(R.V_bool %s)" s
-  | G_dyn s -> s
+let fresh o base =
+  o.tmp <- o.tmp + 1;
+  base ^ string_of_int o.tmp
 
 let int_lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
@@ -75,488 +37,238 @@ let float_lit f =
     Printf.sprintf "(Int64.float_of_bits 0x%LxL)" (Int64.bits_of_float f)
   | _ -> Printf.sprintf "(%h)" f
 
-(* Must stay in sync with [Exec_registry.binop_of_code]. *)
-let binop_code = function
-  | Expr.Add -> 0
-  | Sub -> 1
-  | Mul -> 2
-  | Div -> 3
-  | Mod -> 4
-  | Min -> 5
-  | Max -> 6
-  | Lt -> 7
-  | Le -> 8
-  | Gt -> 9
-  | Ge -> 10
-  | Eq -> 11
-  | Ne -> 12
-  | And | Or -> assert false
+let var_name : type a. a ty -> int -> string =
+ fun ty slot ->
+  (match ty with Int -> "vi" | Float -> "vf" | Bool -> "vb" | Dyn -> "vd")
+  ^ string_of_int slot
 
-let buf_name slot = Printf.sprintf "b%d" slot
-let dim_name slot p = Printf.sprintf "b%d_d%d" slot p
+let buf_name b = "b" ^ string_of_int b.slot
 
-(* Row-major flat index over already-bound index names, strides taken from
-   the prelude's let-bound dimension ints. *)
-let horner slot names =
-  match names with
-  | [] -> "0"
-  | first :: rest ->
-    List.fold_left
-      (fun acc (p, nm) ->
-        Printf.sprintf "((%s * %s) + %s)" acc (dim_name slot p) nm)
-      first
-      (List.mapi (fun i nm -> (i + 1, nm)) rest)
+(* OCaml operator and [Exec_registry.binop] constructor of each binop. *)
+let op_names = function
+  | Expr.Add -> ("+", "Add")
+  | Sub -> ("-", "Sub")
+  | Mul -> ("*", "Mul")
+  | Div -> ("/", "Div")
+  | Mod -> ("mod", "Mod")
+  | Min -> ("min", "Min")
+  | Max -> ("max", "Max")
+  | Lt -> ("<", "Lt")
+  | Le -> ("<=", "Le")
+  | Gt -> (">", "Gt")
+  | Ge -> (">=", "Ge")
+  | Eq -> ("=", "Eq")
+  | Ne -> ("<>", "Ne")
+  | And -> ("&&", "And")
+  | Or -> ("||", "Or")
 
-let bound_check slot p nm bname =
-  Printf.sprintf "if %s < 0 || %s >= %s then R.oob %s %s %S; " nm nm
-    (dim_name slot p) nm (dim_name slot p) bname
-
-type vty = T_int | T_float | T_bool | T_dyn
-
-let var_name (v : Var.t) = Printf.sprintf "v%d" v.Var.id
-
-let rec comp st venv (e : Expr.t) : gexpr =
+let rec pr : type a. out -> a expr -> unit =
+ fun o e ->
+  let wrap pre x post =
+    s o pre;
+    pr o x;
+    s o post
+  in
+  let bin pre a mid b' post =
+    s o pre;
+    pr o a;
+    s o mid;
+    pr o b';
+    s o post
+  in
   match e with
-  | Expr.Int n -> G_int (int_lit n)
-  | Float f -> G_float (float_lit f)
-  | Bool b -> G_bool (if b then "true" else "false")
-  | Thread_idx -> G_int "tid"
-  | Block_idx -> G_int "bid"
-  | Var v -> (
-    match Int_map.find_opt v.Var.id venv with
-    | Some (T_int, nm) -> G_int nm
-    | Some (T_float, nm) -> G_float nm
-    | Some (T_bool, nm) -> G_bool nm
-    | Some (T_dyn, nm) -> G_dyn nm
-    | None ->
-      (* Rejected by the verifier; kept for parity with the closure
-         backend's runtime error. *)
-      G_dyn (Printf.sprintf "(R.unbound_var %S)" (Var.name v)))
-  | Load (buf, idx) -> G_float (comp_load st venv buf idx)
-  | Select (c, a, b) -> (
-    let cc = as_bool (comp st venv c) in
-    let xa = comp st venv a and xb = comp st venv b in
-    match (xa, xb) with
-    | G_int sa, G_int sb ->
-      G_int (Printf.sprintf "(if %s then %s else %s)" cc sa sb)
-    | G_bool sa, G_bool sb ->
-      G_bool (Printf.sprintf "(if %s then %s else %s)" cc sa sb)
-    | (G_float _ | G_int _), (G_float _ | G_int _) ->
-      G_float
-        (Printf.sprintf "(if %s then %s else %s)" cc (as_float xa)
-           (as_float xb))
-    | _ ->
-      G_dyn
-        (Printf.sprintf "(if %s then %s else %s)" cc (as_value xa)
-           (as_value xb)))
-  | Unop (op, a) -> comp_unop st venv op a
-  | Binop (op, a, b) -> comp_binop st venv op a b
-
-(* Loads evaluate all indices left to right, then run all bounds checks,
-   then read — [comp_flat_read]'s exact order. *)
-and comp_load st venv (buf : Buffer.t) idx =
-  let cidx = List.map (fun i -> as_int (comp st venv i)) idx in
-  let ignores () =
-    String.concat "" (List.map (Printf.sprintf "ignore %s; ") cidx)
-  in
-  match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
-  | None ->
-    Printf.sprintf "(%sR.not_allocated %S %S)" (ignores ()) buf.Buffer.name
-      (Buffer.scope_name buf.Buffer.scope)
-  | Some slot ->
-    let r = List.length buf.Buffer.dims in
-    if List.length cidx <> r then
-      Printf.sprintf "(%sR.rank_mismatch %S)" (ignores ()) buf.Buffer.name
-    else begin
-      let names = List.map (fun _ -> fresh st "i") cidx in
-      let lets =
-        List.map2 (Printf.sprintf "let %s = %s in ") names cidx
-        |> String.concat ""
-      in
-      let checks =
-        List.mapi (fun p nm -> bound_check slot p nm buf.Buffer.name) names
-        |> String.concat ""
-      in
-      Printf.sprintf "(%s%sArray.unsafe_get %s %s)" lets checks
-        (buf_name slot) (horner slot names)
-    end
-
-and comp_unop st venv op a =
-  match op with
-  | Expr.Not -> G_bool (Printf.sprintf "(not %s)" (as_bool (comp st venv a)))
-  | Neg -> (
-    match comp st venv a with
-    | G_int s -> G_int (Printf.sprintf "(- %s)" s)
-    | G_float s -> G_float (Printf.sprintf "(-. %s)" s)
-    | G_bool s -> G_int (Printf.sprintf "(ignore %s; R.neg_bool ())" s)
-    | G_dyn s -> G_dyn (Printf.sprintf "(R.dyn_neg %s)" s))
-  | Abs -> (
-    match comp st venv a with
-    | G_int s -> G_int (Printf.sprintf "(Stdlib.abs %s)" s)
-    | G_float s -> G_float (Printf.sprintf "(Float.abs %s)" s)
-    | G_bool s -> G_int (Printf.sprintf "(ignore %s; R.abs_bool ())" s)
-    | G_dyn s -> G_dyn (Printf.sprintf "(R.dyn_abs %s)" s))
-  | Exp -> G_float (Printf.sprintf "(Stdlib.exp %s)" (as_float (comp st venv a)))
-  | Log -> G_float (Printf.sprintf "(Stdlib.log %s)" (as_float (comp st venv a)))
-  | Sqrt ->
-    G_float (Printf.sprintf "(Stdlib.sqrt %s)" (as_float (comp st venv a)))
-  | Tanh ->
-    G_float (Printf.sprintf "(Stdlib.tanh %s)" (as_float (comp st venv a)))
-  | Erf -> G_float (Printf.sprintf "(R.erf %s)" (as_float (comp st venv a)))
-
-and comp_binop st venv op a b =
-  match op with
-  | Expr.And ->
-    G_bool
-      (Printf.sprintf "(%s && %s)"
-         (as_bool (comp st venv a))
-         (as_bool (comp st venv b)))
-  | Or ->
-    G_bool
-      (Printf.sprintf "(%s || %s)"
-         (as_bool (comp st venv a))
-         (as_bool (comp st venv b)))
-  | _ -> (
-    let xa = comp st venv a and xb = comp st venv b in
-    match (xa, xb) with
-    | (G_dyn _, _ | _, G_dyn _) ->
-      (* The closure backend binds va then vb explicitly. *)
-      let va = fresh st "va" and vb = fresh st "vb" in
-      G_dyn
-        (Printf.sprintf "(let %s = %s in let %s = %s in R.dyn_binop %d %s %s)"
-           va (as_value xa) vb (as_value xb) (binop_code op) va vb)
-    | (G_bool _, _ | _, G_bool _) ->
-      (* Evaluate both operands first, then reject — [Expr.eval]'s order. *)
-      G_int
-        (Printf.sprintf "(ignore %s; ignore %s; R.bool_binop ())" (raw xa)
-           (raw xb))
-    | G_int sa, G_int sb -> (
+  | Int_c n -> s o (int_lit n)
+  | Float_c f -> s o (float_lit f)
+  | Bool_c b -> s o (string_of_bool b)
+  | Tid -> s o "tid"
+  | Bid -> s o "bid"
+  | Var (ty, slot) -> s o (var_name ty slot)
+  | Load (b, idx) ->
+    s o "(";
+    let names = bind_all o idx in
+    checks o b names;
+    s o ("Array.unsafe_get " ^ buf_name b ^ " ");
+    horner o b names;
+    s o ")"
+  | Cast (src, dst, x) ->
+    let pre, post =
+      match (src, dst) with
+      | Int, Float -> ("(float_of_int ", ")")
+      | Int, Bool -> ("(", " <> 0)")
+      | Int, Dyn -> ("(R.V_int ", ")")
+      | Float, Int -> ("(int_of_float ", ")")
+      | Float, Bool -> ("(", " <> 0.)")
+      | Float, Dyn -> ("(R.V_float ", ")")
+      | Bool, Int -> ("(if ", " then 1 else 0)")
+      | Bool, Float -> ("(if ", " then 1. else 0.)")
+      | Bool, Dyn -> ("(R.V_bool ", ")")
+      | Dyn, Int -> ("(R.int_of_value ", ")")
+      | Dyn, Float -> ("(R.float_of_value ", ")")
+      | Dyn, Bool -> ("(R.bool_of_value ", ")")
+      | Int, Int | Float, Float | Bool, Bool | Dyn, Dyn -> ("", "")
+    in
+    wrap pre x post
+  | Select (c, a, b) ->
+    wrap "(if " c " then ";
+    bin "" a " else " b ")"
+  | Not a -> wrap "(not " a ")"
+  | And (a, b) -> bin "(" a " && " b ")"
+  | Or (a, b) -> bin "(" a " || " b ")"
+  | Neg (I, a) -> wrap "(- " a ")"
+  | Neg (F, a) -> wrap "(-. " a ")"
+  | Abs (I, a) -> wrap "(Stdlib.abs " a ")"
+  | Abs (F, a) -> wrap "(Float.abs " a ")"
+  | Dyn_unop (op, a) ->
+    wrap (if op = Neg then "(R.dyn_neg " else "(R.dyn_abs ") a ")"
+  | Math (op, a) ->
+    let f =
       match op with
-      | Add -> G_int (Printf.sprintf "(%s + %s)" sa sb)
-      | Sub -> G_int (Printf.sprintf "(%s - %s)" sa sb)
-      | Mul -> G_int (Printf.sprintf "(%s * %s)" sa sb)
-      | Div -> G_int (Printf.sprintf "(%s / %s)" sa sb)
-      | Mod -> G_int (Printf.sprintf "(%s mod %s)" sa sb)
-      | Min | Max ->
-        (* [min (fa rt) (fb rt)] evaluates right to left: bind b, then a,
-           then compare — monomorphized to int. *)
-        let vb = fresh st "vb" and va = fresh st "va" in
-        let cmp = if op = Min then "<=" else ">=" in
-        G_int
-          (Printf.sprintf
-             "(let %s = %s in let %s = %s in if %s %s %s then %s else %s)" vb
-             sb va sa va cmp vb va vb)
-      | Lt -> G_bool (Printf.sprintf "(%s < %s)" sa sb)
-      | Le -> G_bool (Printf.sprintf "(%s <= %s)" sa sb)
-      | Gt -> G_bool (Printf.sprintf "(%s > %s)" sa sb)
-      | Ge -> G_bool (Printf.sprintf "(%s >= %s)" sa sb)
-      | Eq -> G_bool (Printf.sprintf "(%s = %s)" sa sb)
-      | Ne -> G_bool (Printf.sprintf "(%s <> %s)" sa sb)
-      | And | Or -> assert false)
-    | _ -> (
-      (* Mixed int/float promotes to float, exactly like [eval_binop]. *)
-      let sa = as_float xa and sb = as_float xb in
-      match op with
-      | Add -> G_float (Printf.sprintf "(%s +. %s)" sa sb)
-      | Sub -> G_float (Printf.sprintf "(%s -. %s)" sa sb)
-      | Mul -> G_float (Printf.sprintf "(%s *. %s)" sa sb)
-      | Div -> G_float (Printf.sprintf "(%s /. %s)" sa sb)
-      | Mod -> G_float (Printf.sprintf "(Float.rem %s %s)" sa sb)
-      | Min -> G_float (Printf.sprintf "(Float.min %s %s)" sa sb)
-      | Max -> G_float (Printf.sprintf "(Float.max %s %s)" sa sb)
-      | Lt -> G_bool (Printf.sprintf "(%s < %s)" sa sb)
-      | Le -> G_bool (Printf.sprintf "(%s <= %s)" sa sb)
-      | Gt -> G_bool (Printf.sprintf "(%s > %s)" sa sb)
-      | Ge -> G_bool (Printf.sprintf "(%s >= %s)" sa sb)
-      | Eq -> G_bool (Printf.sprintf "(%s = %s)" sa sb)
-      | Ne -> G_bool (Printf.sprintf "(%s <> %s)" sa sb)
-      | And | Or -> assert false))
-
-(* ------------------------------------------------------------------ *)
-(* Statement emission                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Each statement is emitted as "<stmt>;\n"; blocks close with "()" so an
-   empty body is still well-formed. *)
-
-let add = Stdlib.Buffer.add_string
-
-let rec emit_stmt st venv out ind (s : Stmt.t) : unit =
-  let pad = String.make ind ' ' in
-  match s with
-  | Stmt.Seq ss -> List.iter (emit_stmt st venv out ind) ss
-  | For { var; extent; body; _ } ->
-    let ext = as_int (comp st venv extent) in
-    let n = fresh st "n" in
-    let v = var_name var in
-    add out (Printf.sprintf "%sincr stmts;\n" pad);
-    add out (Printf.sprintf "%s(let %s = %s in\n" pad n ext);
-    add out (Printf.sprintf "%s for %s = 0 to %s - 1 do\n" pad v n);
-    emit_stmt st (Int_map.add var.Var.id (T_int, v) venv) out (ind + 2) body;
-    add out (Printf.sprintf "%s  ()\n%s done);\n" pad pad)
-  | If { cond; then_; else_ } ->
-    let cc = as_bool (comp st venv cond) in
-    add out (Printf.sprintf "%sincr stmts;\n" pad);
-    add out (Printf.sprintf "%s(if %s then begin\n" pad cc);
-    emit_stmt st venv out (ind + 2) then_;
-    (match else_ with
-    | None -> add out (Printf.sprintf "%s  ()\n%send);\n" pad pad)
-    | Some e ->
-      add out (Printf.sprintf "%s  ()\n%send\n%selse begin\n" pad pad pad);
-      emit_stmt st venv out (ind + 2) e;
-      add out (Printf.sprintf "%s  ()\n%send);\n" pad pad))
-  | Let { var; value; body } ->
-    let x = comp st venv value in
-    let v = var_name var in
-    let ty =
-      match x with
-      | G_int _ -> T_int
-      | G_float _ -> T_float
-      | G_bool _ -> T_bool
-      | G_dyn _ -> T_dyn
+      | Exp -> "(Stdlib.exp "
+      | Log -> "(Stdlib.log "
+      | Sqrt -> "(Stdlib.sqrt "
+      | Tanh -> "(Stdlib.tanh "
+      | _ -> "(R.erf "
     in
-    add out (Printf.sprintf "%sincr stmts;\n" pad);
-    add out (Printf.sprintf "%s(let %s = %s in\n" pad v (raw x));
-    emit_stmt st (Int_map.add var.Var.id (ty, v) venv) out (ind + 1) body;
-    add out (Printf.sprintf "%s ());\n" pad)
-  | Store { buf; indices; value } -> emit_store st venv out pad buf indices value
-  | Mma m -> emit_mma st venv out pad m
-  | Sync_threads ->
-    add out (Printf.sprintf "%sincr stmts;\n%sR.sync ();\n" pad pad)
-  | Comment _ -> add out (Printf.sprintf "%sincr stmts;\n" pad)
+    wrap f a ")"
+  | Arith (I, ((Min | Max) as op), a, b) ->
+    (* The closures bind b, then a, then compare. *)
+    let vb = fresh o "vb" and va = fresh o "va" in
+    bin ("(let " ^ vb ^ " = ") b (" in let " ^ va ^ " = ") a
+      (Printf.sprintf " in if %s %s %s then %s else %s)" va
+         (if op = Min then "<=" else ">=") vb va vb)
+  | Arith (F, ((Mod | Min | Max) as op), a, b) ->
+    let f = match op with Mod -> "rem" | Min -> "min" | _ -> "max" in
+    bin ("(Float." ^ f ^ " ") a " " b ")"
+  | Arith (I, op, a, b) -> bin "(" a (" " ^ fst (op_names op) ^ " ") b ")"
+  | Arith (F, op, a, b) -> bin "(" a (" " ^ fst (op_names op) ^ ". ") b ")"
+  | Cmp (_, op, a, b) -> bin "(" a (" " ^ fst (op_names op) ^ " ") b ")"
+  | Dyn_binop (op, a, b) ->
+    let va = fresh o "va" and vb = fresh o "vb" in
+    bin ("(let " ^ va ^ " = ") a (" in let " ^ vb ^ " = ") b
+      (Printf.sprintf " in R.dyn_binop R.%s %s %s)" (snd (op_names op)) va vb)
+  | Reject (operands, msg) ->
+    s o "(";
+    List.iter (fun (E (_, x)) -> wrap "ignore " x "; ") operands;
+    s o (Printf.sprintf "invalid_arg %S)" msg)
 
-(* Stores count the statement, evaluate indices left to right, then the
-   value, then resolve/check, then write — [comp_store]'s exact order. *)
-and emit_store st venv out pad (buf : Buffer.t) indices value =
-  let cidx = List.map (fun i -> as_int (comp st venv i)) indices in
-  let cv = as_float (comp st venv value) in
-  add out (Printf.sprintf "%sincr stmts;\n" pad);
-  let fail raiser =
-    add out (Printf.sprintf "%s(" pad);
-    List.iter (fun s -> add out (Printf.sprintf "ignore %s; " s)) cidx;
-    add out (Printf.sprintf "ignore %s; %s);\n" cv raiser)
-  in
-  match Hashtbl.find_opt st.buf_slot buf.Buffer.id with
-  | None ->
-    fail
-      (Printf.sprintf "R.not_allocated %S %S" buf.Buffer.name
-         (Buffer.scope_name buf.Buffer.scope))
-  | Some slot ->
-    let r = List.length buf.Buffer.dims in
-    if List.length cidx <> r then
-      fail (Printf.sprintf "R.rank_mismatch %S" buf.Buffer.name)
-    else begin
-      let names = List.map (fun _ -> fresh st "i") cidx in
-      let v = fresh st "x" in
-      add out (Printf.sprintf "%s(" pad);
-      List.iter2
-        (fun nm s -> add out (Printf.sprintf "let %s = %s in " nm s))
-        names cidx;
-      add out (Printf.sprintf "let %s = %s in\n%s " v cv pad);
-      List.iteri
-        (fun p nm -> add out (bound_check slot p nm buf.Buffer.name))
-        names;
-      add out
-        (Printf.sprintf "Array.unsafe_set %s %s %s);\n" (buf_name slot)
-           (horner slot names) v)
-    end
+(* [let iN = <index> in] per index, left to right; returns the names. *)
+and bind_all o idx =
+  Array.map
+    (fun x ->
+      let nm = fresh o "i" in
+      s o ("let " ^ nm ^ " = ");
+      pr o x;
+      s o " in ";
+      nm)
+    idx
 
-(* MMA transliterates [comp_mma]: statement counted, lane-0 gate, offsets
-   evaluated a/b/c left to right, tile origins flattened c/b/a (leading-dim
-   checks hoisted), then the m*n*k loops with per-element trailing-dim
-   checks. The per-dim checks plus the origin construction keep every flat
-   index in bounds, so the loop bodies use unsafe accesses. *)
-and emit_mma st venv out pad (m : Stmt.mma) =
-  let comp_offs l = List.map (fun e -> as_int (comp st venv e)) l in
-  let ca = comp_offs m.a_off
-  and cb = comp_offs m.b_off
-  and cc = comp_offs m.c_off in
-  let slot (b : Buffer.t) = Hashtbl.find_opt st.buf_slot b.Buffer.id in
-  add out (Printf.sprintf "%sincr stmts;\n" pad);
-  add out (Printf.sprintf "%s(if tid mod %d = 0 then begin\n" pad
-             Interp.warp_size);
-  let p2 = pad ^ "  " in
-  match (slot m.a, slot m.b, slot m.c) with
-  | Some sa, Some sb, Some sc
-    when Buffer.rank m.a >= 2 && Buffer.rank m.b >= 2 && Buffer.rank m.c >= 2
-    ->
-    let bind_offs prefix offs =
-      List.map
-        (fun s ->
-          let nm = fresh st prefix in
-          add out (Printf.sprintf "%slet %s = %s in\n" p2 nm s);
-          nm)
-        offs
-      |> Array.of_list
-    in
-    let ao = bind_offs "ao" ca in
-    let bo = bind_offs "bo" cb in
-    let co = bind_offs "co" cc in
-    let a_r = Buffer.rank m.a
-    and b_r = Buffer.rank m.b
-    and c_r = Buffer.rank m.c in
-    (* Leading-dim checks + origin with trailing dims zeroed. *)
-    let origin nm slot_ name r (offs : string array) =
-      let acc = ref "0" in
-      for p = 0 to r - 1 do
-        if p < r - 2 then begin
-          add out (Printf.sprintf "%s%s" p2 (bound_check slot_ p offs.(p) name));
-          add out "\n";
-          acc :=
-            if !acc = "0" then offs.(p)
-            else Printf.sprintf "((%s * %s) + %s)" !acc (dim_name slot_ p)
-                   offs.(p)
-        end
-        else
-          acc :=
-            if !acc = "0" then "0"
-            else Printf.sprintf "(%s * %s)" !acc (dim_name slot_ p)
-      done;
-      add out (Printf.sprintf "%slet %s = %s in\n" p2 nm !acc)
-    in
-    let c0 = fresh st "c0" and b0 = fresh st "b0" and a0 = fresh st "a0" in
-    origin c0 sc m.c.Buffer.name c_r co;
-    origin b0 sb m.b.Buffer.name b_r bo;
-    origin a0 sa m.a.Buffer.name a_r ao;
-    let ar0 = ao.(a_r - 2) and ac0 = ao.(a_r - 1) in
-    let br0 = bo.(b_r - 2) and bc0 = bo.(b_r - 1) in
-    let cr0 = co.(c_r - 2) and cc0 = co.(c_r - 1) in
-    let a_rdim = dim_name sa (a_r - 2) and a_cdim = dim_name sa (a_r - 1) in
-    let b_rdim = dim_name sb (b_r - 2) and b_cdim = dim_name sb (b_r - 1) in
-    let c_rdim = dim_name sc (c_r - 2) and c_cdim = dim_name sc (c_r - 1) in
-    let a_name = m.a.Buffer.name
-    and b_name = m.b.Buffer.name
-    and c_name = m.c.Buffer.name in
-    add out (Printf.sprintf "%sfor i = 0 to %d do\n" p2 (m.m - 1));
-    add out (Printf.sprintf "%s for j = 0 to %d do\n" p2 (m.n - 1));
-    add out (Printf.sprintf "%s  let ri = %s + i in\n" p2 cr0);
-    add out (Printf.sprintf "%s  let cj = %s + j in\n" p2 cc0);
-    add out
-      (Printf.sprintf "%s  if ri < 0 || ri >= %s then R.oob ri %s %S;\n" p2
-         c_rdim c_rdim c_name);
-    add out
-      (Printf.sprintf "%s  if cj < 0 || cj >= %s then R.oob cj %s %S;\n" p2
-         c_cdim c_cdim c_name);
-    add out
-      (Printf.sprintf "%s  let cix = %s + (ri * %s) + cj in\n" p2 c0 c_cdim);
-    add out
-      (Printf.sprintf "%s  let acc = ref (Array.unsafe_get %s cix) in\n" p2
-         (buf_name sc));
-    add out (Printf.sprintf "%s  for k = 0 to %d do\n" p2 (m.k - 1));
-    add out (Printf.sprintf "%s   let brk = %s + k in\n" p2 br0);
-    add out (Printf.sprintf "%s   let bcj = %s + j in\n" p2 bc0);
-    add out
-      (Printf.sprintf "%s   if brk < 0 || brk >= %s then R.oob brk %s %S;\n"
-         p2 b_rdim b_rdim b_name);
-    add out
-      (Printf.sprintf "%s   if bcj < 0 || bcj >= %s then R.oob bcj %s %S;\n"
-         p2 b_cdim b_cdim b_name);
-    add out (Printf.sprintf "%s   let ari = %s + i in\n" p2 ar0);
-    add out (Printf.sprintf "%s   let ack = %s + k in\n" p2 ac0);
-    add out
-      (Printf.sprintf "%s   if ari < 0 || ari >= %s then R.oob ari %s %S;\n"
-         p2 a_rdim a_rdim a_name);
-    add out
-      (Printf.sprintf "%s   if ack < 0 || ack >= %s then R.oob ack %s %S;\n"
-         p2 a_cdim a_cdim a_name);
-    add out
-      (Printf.sprintf
-         "%s   acc := !acc +. Array.unsafe_get %s (%s + (ari * %s) + ack) \
-          *. Array.unsafe_get %s (%s + (brk * %s) + bcj)\n"
-         p2 (buf_name sa) a0 a_cdim (buf_name sb) b0 b_cdim);
-    add out (Printf.sprintf "%s  done;\n" p2);
-    add out (Printf.sprintf "%s  Array.unsafe_set %s cix !acc\n" p2
-               (buf_name sc));
-    add out (Printf.sprintf "%s done\n%sdone\n" p2 p2);
-    add out (Printf.sprintf "%send);\n" pad)
-  | sa, sb, sc ->
-    (* Undeclared operand or rank < 2: rejected by the verifier; keep the
-       reference's runtime behaviour (evaluate all offsets, then raise). *)
+and checks o b names =
+  let name = Printf.sprintf "%S" b.name in
+  Array.iteri
+    (fun p nm ->
+      let d = string_of_int b.dims.(p) in
+      s o
+        (Printf.sprintf "if %s < 0 || %s >= %s then R.oob %s %s %s; " nm nm d nm
+           d name))
+    names
+
+(* Row-major flat index over the bound index names. *)
+and horner o b names =
+  let acc = ref "0" in
+  Array.iteri
+    (fun p nm ->
+      acc :=
+        if p = 0 then nm
+        else Printf.sprintf "((%s * %d) + %s)" !acc b.dims.(p) nm)
+    names;
+  s o !acc
+
+(* Every statement but [Seq] counts itself first. Blocks close with "()"
+   so an empty body is still well-formed. *)
+let rec pr_stmt o (st : stmt) =
+  match st with
+  | Seq ss -> List.iter (pr_stmt o) ss
+  | For (slot, extent, body) ->
+    let n = fresh o "n" in
+    s o ("incr stmts;\n(let " ^ n ^ " = ");
+    pr o extent;
+    s o (Printf.sprintf " in\nfor %s = 0 to %s - 1 do\n" (var_name Int slot) n);
+    pr_stmt o body;
+    s o "()\ndone);\n"
+  | If (c, t, e) ->
+    s o "incr stmts;\n(if ";
+    pr o c;
+    s o " then begin\n";
+    pr_stmt o t;
+    s o "()\nend";
+    Option.iter
+      (fun e ->
+        s o "\nelse begin\n";
+        pr_stmt o e;
+        s o "()\nend")
+      e;
+    s o ");\n"
+  | Let (ty, slot, value, body) ->
+    s o ("incr stmts;\n(let " ^ var_name ty slot ^ " = ");
+    pr o value;
+    s o " in\n";
+    pr_stmt o body;
+    s o "());\n"
+  | Store (b, idx, value) ->
+    s o "incr stmts;\n(";
+    let names = bind_all o idx in
+    let x = fresh o "x" in
+    s o ("let " ^ x ^ " = ");
+    pr o value;
+    s o " in\n";
+    checks o b names;
+    s o ("Array.unsafe_set " ^ buf_name b ^ " ");
+    horner o b names;
+    s o (" " ^ x ^ ");\n")
+  | Mma { m; n; k; a; b; c } ->
+    s o (Printf.sprintf "incr stmts;\n(if tid mod %d = 0 then begin\n"
+           Exec_registry.warp_size);
+    let offs = List.map (fun op -> (op, bind_all o op.off)) [ a; b; c ] in
+    s o (Printf.sprintf "\nR.mma %d %d %d" m n k);
+    let arr l = "[|" ^ String.concat "; " (Array.to_list l) ^ "|]" in
     List.iter
-      (fun s -> add out (Printf.sprintf "%signore %s;\n" p2 s))
-      (ca @ cb @ cc);
-    let first_missing =
-      List.find_opt (fun (s, _) -> s = None) [ (sa, m.a); (sb, m.b); (sc, m.c) ]
-    in
-    (match first_missing with
-    | Some (_, b) ->
-      add out
-        (Printf.sprintf "%sR.not_allocated %S %S\n" p2 b.Buffer.name
-           (Buffer.scope_name b.Buffer.scope))
-    | None ->
-      add out (Printf.sprintf "%sR.mma_rank %S\n" p2 m.c.Buffer.name));
-    add out (Printf.sprintf "%send);\n" pad)
-
-(* ------------------------------------------------------------------ *)
-(* Kernel codegen                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type slots = {
-  nbufs : int;
-  global_slots : (int * Buffer.t) array;
-  shared_slots : (int * Buffer.t) array;
-  warp_slots : (int * Buffer.t) array;
-  reg_slots : (int * Buffer.t) array;
-}
-
-(* Slot assignment order matches [Compile_exec.compile]: params, shared,
-   warp buffers, registers, one incrementing counter. *)
-let assign_slots (k : Kernel.t) =
-  let buf_slot = Hashtbl.create 16 in
-  let next = ref 0 in
-  let assign bufs =
-    Array.of_list
-      (List.map
-         (fun (b : Buffer.t) ->
-           let s = !next in
-           incr next;
-           Hashtbl.replace buf_slot b.Buffer.id s;
-           (s, b))
-         bufs)
-  in
-  let global_slots = assign k.Kernel.params in
-  let shared_slots = assign k.Kernel.shared in
-  let warp_slots = assign k.Kernel.warp_bufs in
-  let reg_slots = assign k.Kernel.regs in
-  ( buf_slot,
-    { nbufs = !next; global_slots; shared_slots; warp_slots; reg_slots } )
+      (fun (op, names) ->
+        s o
+          (Printf.sprintf " %s %s %S %s" (buf_name op.buf)
+             (arr (Array.map string_of_int op.buf.dims))
+             op.buf.name (arr names)))
+      offs;
+    s o "\nend);\n"
+  | Sync -> s o "incr stmts;\nR.sync ();\n"
+  | Nop -> s o "incr stmts;\n"
 
 (* The generated unit: [body tid bid bufs] runs one thread and returns its
-   statement count. Buffer arrays and their dimensions are hoisted to
-   let-bound locals in the prelude; the registration trailer (which embeds
-   the unique unit name) is appended at build time so the source digest
-   memoizing compilation is stable across processes. *)
-let codegen (k : Kernel.t) : string * slots =
-  let buf_slot, slots = assign_slots k in
-  let st = { buf_slot; tmp = 0 } in
-  let out = Stdlib.Buffer.create 4096 in
-  add out
+   statement count. The registration trailer (which embeds the unique unit
+   name) is appended at build time so the source digest memoizing
+   compilation is stable across processes. *)
+let print (lk : Lower.t) =
+  let o = { b = B.create 4096; tmp = 0 } in
+  s o
     (Printf.sprintf "(* generated by Hidet_gpu.Exec_ocaml for kernel %s *)\n"
-       k.Kernel.name);
+       lk.layout.kernel.Kernel.name);
   (* The mangled unit name, not the [Hidet_gpu] wrapper alias: dune's dev
      profile compiles with [-opaque], so going through the wrapper would
      record an implementation dependency on the wrapper unit — which hosts
      never link (alias references resolve statically). The registry unit
      itself is always linked into any host that can reach this code. *)
-  add out "module R = Hidet_gpu__Exec_registry\n\n";
-  add out "let body (tid : int) (bid : int) (bufs : float array array) : int =\n";
-  add out "  ignore tid; ignore bid; ignore bufs;\n";
-  add out "  let stmts = ref 0 in\n";
-  let prelude (s, (b : Buffer.t)) =
-    add out (Printf.sprintf "  let %s = bufs.(%d) in\n" (buf_name s) s);
-    List.iteri
-      (fun p d -> add out (Printf.sprintf "  let %s = %d in\n" (dim_name s p) d))
-      b.Buffer.dims
-  in
-  Array.iter prelude slots.global_slots;
-  Array.iter prelude slots.shared_slots;
-  Array.iter prelude slots.warp_slots;
-  Array.iter prelude slots.reg_slots;
-  emit_stmt st Int_map.empty out 2 k.Kernel.body;
-  add out "  !stmts\n";
-  (Stdlib.Buffer.contents out, slots)
+  s o "module R = Hidet_gpu__Exec_registry\n\n";
+  s o "let body (tid : int) (bid : int) (bufs : float array array) : int =\n";
+  s o "ignore tid; ignore bid; ignore bufs;\nlet stmts = ref 0 in\n";
+  for slot = 0 to lk.layout.nbufs - 1 do
+    s o (Printf.sprintf "let b%d = bufs.(%d) in\n" slot slot)
+  done;
+  pr_stmt o lk.body;
+  s o "!stmts\n";
+  B.contents o.b
 
-let source k = fst (codegen k)
+let source k =
+  Verify.kernel_exn k;
+  print (Lower.kernel k)
 
 (* ------------------------------------------------------------------ *)
 (* Toolchain probe                                                    *)
@@ -582,6 +294,15 @@ let find_in_path prog =
              if Sys.file_exists p then Some p else None)
 
 let is_dir p = try Sys.is_directory p with Sys_error _ -> false
+
+(* The scratch directory holds only flat files (.ml, .cmx, .cmxs, .err). *)
+let remove_dir dir =
+  if is_dir dir then begin
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (try Sys.readdir dir with Sys_error _ -> [||]);
+    try Sys.rmdir dir with Sys_error _ -> ()
+  end
 
 (* Executables live in _build/default/{bin,test,bench}; every library's
    .cmi files sit at _build/default/lib/<x>/.<name>.objs/byte and its .cmx
@@ -709,6 +430,7 @@ let probe () : (toolchain, string) result =
             (Printf.sprintf "hidet_native_%d" (Unix.getpid ()))
         in
         (try Sys.mkdir scratch 0o700 with Sys_error _ -> ());
+        at_exit (fun () -> remove_dir scratch);
         if not (is_dir scratch) then
           Error (Printf.sprintf "cannot create scratch dir %s" scratch)
         else
@@ -734,20 +456,12 @@ let probe () : (toolchain, string) result =
 let toolchain_once = lazy (probe ())
 let available () = Result.map (fun _ -> ()) (Lazy.force toolchain_once)
 
+
 (* ------------------------------------------------------------------ *)
 (* Compilation with memoization                                       *)
 (* ------------------------------------------------------------------ *)
 
-type compiled = {
-  kernel : Kernel.t;
-  slots : slots;
-  entry : Exec_registry.entry;
-  has_sync : bool;
-  parallel_ok : bool;
-}
-
-let kernel c = c.kernel
-let parallel_grid c = c.parallel_ok
+type compiled = Lower.compiled
 
 let memo : (string, Exec_registry.entry) Hashtbl.t = Hashtbl.create 16
 let memo_lock = Mutex.create ()
@@ -760,12 +474,14 @@ let compile ?key (k : Kernel.t) : compiled =
       failwith ("Exec_ocaml: native backend unavailable: " ^ reason)
   in
   Verify.kernel_exn k;
-  let src, slots =
+  let lk, src =
     timed m_codegen_us (fun () ->
         Trace.span
           ~attrs:(fun () -> [ ("kernel", k.Kernel.name) ])
           "sim.native.codegen"
-          (fun _ -> codegen k))
+          (fun _ ->
+            let lk = Lower.kernel k in
+            (lk, print lk)))
   in
   (* Codegen is cheap and runs every call; ocamlopt + dynlink are memoized
      on the workload key plus the source digest (the digest alone is
@@ -789,123 +505,9 @@ let compile ?key (k : Kernel.t) : compiled =
           Hashtbl.replace memo memo_key e;
           e)
   in
-  {
-    kernel = k;
-    slots;
-    entry;
-    has_sync =
-      Stmt.count (function Stmt.Sync_threads -> true | _ -> false)
-        k.Kernel.body
-      > 0;
-    parallel_ok = Verify.block_disjoint_writes k;
-  }
+  { layout = lk.layout; entry; backend = "native" }
 
-(* ------------------------------------------------------------------ *)
-(* Launch                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let m_threads = Metrics.counter "sim.threads"
-let m_stmts = Metrics.counter "sim.statements"
-let m_exec_us = Metrics.counter "sim.exec_us"
-let m_par_blocks = Metrics.counter "sim.parallel_blocks"
-let m_seq_blocks = Metrics.counter "sim.sequential_blocks"
-
-(* Identical per-block memory model to [Compile_exec.exec_block]: shared
-   arrays fresh per block, warp storage shared across a warp's threads,
-   register arrays fresh per thread. Kernels without [Sync_threads] skip
-   the fiber machinery entirely — a plain loop over tids is observably
-   identical when no barrier can be reached. *)
-let exec_block (c : compiled) (proto : float array array) bid : int =
-  let k = c.kernel in
-  let bufs_block = Array.copy proto in
-  Array.iter
-    (fun (s, b) -> bufs_block.(s) <- Array.make (Buffer.num_elems b) 0.)
-    c.slots.shared_slots;
-  let num_warps =
-    (k.Kernel.block_dim + Interp.warp_size - 1) / Interp.warp_size
-  in
-  let warp_storage =
-    Array.init num_warps (fun _ ->
-        Array.map
-          (fun (_, b) -> Array.make (Buffer.num_elems b) 0.)
-          c.slots.warp_slots)
-  in
-  let thread_bufs tid =
-    let bufs = Array.copy bufs_block in
-    let ws = warp_storage.(tid / Interp.warp_size) in
-    Array.iteri (fun i (s, _) -> bufs.(s) <- ws.(i)) c.slots.warp_slots;
-    Array.iter
-      (fun (s, b) -> bufs.(s) <- Array.make (Buffer.num_elems b) 0.)
-      c.slots.reg_slots;
-    bufs
-  in
-  if not c.has_sync then begin
-    let total = ref 0 in
-    for tid = 0 to k.Kernel.block_dim - 1 do
-      total := !total + c.entry tid bid (thread_bufs tid)
-    done;
-    !total
-  end
-  else begin
-    let counts = Array.make k.Kernel.block_dim 0 in
-    let rts = Array.init k.Kernel.block_dim thread_bufs in
-    let statuses =
-      Array.init k.Kernel.block_dim (fun tid ->
-          Interp.start_thread (fun () ->
-              counts.(tid) <- c.entry tid bid rts.(tid)))
-    in
-    Interp.barrier_loop ~kernel_name:k.Kernel.name ~bid statuses;
-    Array.fold_left ( + ) 0 counts
-  end
-
-let run_compiled ?(parallel = true) (c : compiled) bindings =
-  let k = c.kernel in
-  Interp.check_bindings k bindings;
-  let proto = Array.make (max 1 c.slots.nbufs) [||] in
-  Array.iter
-    (fun (s, (b : Buffer.t)) ->
-      match List.find_opt (fun (p, _) -> Buffer.equal p b) bindings with
-      | Some (_, arr) -> proto.(s) <- arr
-      | None -> assert false (* every parameter is bound: check_bindings *))
-    c.slots.global_slots;
-  let use_domains = parallel && c.parallel_ok && k.Kernel.grid_dim > 1 in
-  let t0 = Unix.gettimeofday () in
-  let counts =
-    Trace.span
-      ~attrs:(fun () ->
-        [
-          ("kernel", k.Kernel.name);
-          ("backend", "native");
-          ("parallel", string_of_bool use_domains);
-          ("grid_dim", string_of_int k.Kernel.grid_dim);
-        ])
-      "sim.exec"
-      (fun _ ->
-        if use_domains then
-          Hidet_parallel.Parallel.map
-            (fun bid -> exec_block c proto bid)
-            (Array.init k.Kernel.grid_dim Fun.id)
-        else begin
-          let counts = Array.make k.Kernel.grid_dim 0 in
-          for bid = 0 to k.Kernel.grid_dim - 1 do
-            counts.(bid) <- exec_block c proto bid
-          done;
-          counts
-        end)
-  in
-  Metrics.add m_exec_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  Metrics.add m_threads (Kernel.num_threads k);
-  Metrics.add m_stmts (Array.fold_left ( + ) 0 counts);
-  Metrics.add
-    (if use_domains then m_par_blocks else m_seq_blocks)
-    k.Kernel.grid_dim
+let run_compiled = Lower.run
 
 let run ?parallel ?key (k : Kernel.t) bindings =
   run_compiled ?parallel (compile ?key k) bindings
-
-let run_alloc ?parallel ?key k ~inputs ~outputs =
-  let out_arrays =
-    List.map (fun b -> Array.make (Buffer.num_elems b) 0.) outputs
-  in
-  run ?parallel ?key k (inputs @ List.combine outputs out_arrays);
-  out_arrays

@@ -1,15 +1,15 @@
 (** Native codegen backend: kernel IR → OCaml source → [ocamlopt -shared]
     → [Dynlink].
 
-    The third execution backend, after the tree-walking interpreter
-    ({!Interp}) and the closure compiler ({!Compile_exec}). Each kernel is
-    pretty-printed to a self-contained OCaml unit — flat-array loops over
-    the thread/block index ranges, buffer dimensions hoisted to let-bound
-    ints, the same per-dimension bounds checks the closures perform
-    (followed by unsafe accesses they make safe), and statically
-    type-specialized int/float/bool bodies with no per-statement dispatch —
-    then compiled with [ocamlfind ocamlopt -shared], loaded with
-    [Dynlink.loadfile_private], and claimed through {!Exec_registry}.
+    The second emitter of {!Lower}'s form, next to the closure compiler
+    ({!Compile_exec}). Each lowered kernel is printed as a self-contained
+    OCaml unit — frame slots become let-bound names, buffer slots become
+    locals bound once per thread, dimensions become literals, every access
+    runs the reference's per-dimension bounds checks before an unsafe read
+    or write, and int/float/bool arithmetic is type-specialized with no
+    per-statement dispatch — then compiled with [ocamlfind ocamlopt
+    -shared], loaded with [Dynlink.loadfile_private], and claimed through
+    {!Exec_registry}. It launches through {!Lower.run}, like the closures.
 
     Results, statement counts and raised errors are bit-identical to
     {!Compile_exec} (property-tested in [test_exec_ocaml] and cross-checked
@@ -18,7 +18,8 @@
     Compiled units are memoized per process on the generated source digest,
     optionally prefixed by the schedule-cache workload key ([?key]), so a
     kernel pays ocamlopt + dynlink once and every later launch reuses the
-    loaded entry point.
+    loaded entry point. Generated files live in a per-process directory
+    under the temp dir, removed at exit.
 
     The backend degrades, never fails, when the toolchain is missing:
     {!available} probes once per process (native [Dynlink], [ocamlfind] on
@@ -43,15 +44,10 @@ val compile : ?key:string -> Hidet_ir.Kernel.t -> compiled
     toolchain misbehaves — callers wanting graceful degradation check
     {!available} first. *)
 
-val kernel : compiled -> Hidet_ir.Kernel.t
-val parallel_grid : compiled -> bool
-
 val run_compiled :
   ?parallel:bool -> compiled -> (Hidet_ir.Buffer.t * float array) list -> unit
-(** Launch with the same semantics, metrics (["sim.threads"],
-    ["sim.statements"], ["sim.exec_us"], parallel/sequential block
-    counters) and ["sim.exec"] span as [Compile_exec.run_compiled]; blocks
-    run across domains under the same conditions. *)
+(** {!Lower.run}: the same launch, metrics and span as
+    [Compile_exec.run_compiled]. *)
 
 val run :
   ?parallel:bool ->
@@ -59,12 +55,4 @@ val run :
   Hidet_ir.Kernel.t ->
   (Hidet_ir.Buffer.t * float array) list ->
   unit
-
-val run_alloc :
-  ?parallel:bool ->
-  ?key:string ->
-  Hidet_ir.Kernel.t ->
-  inputs:(Hidet_ir.Buffer.t * float array) list ->
-  outputs:Hidet_ir.Buffer.t list ->
-  float array list
-(** Allocate zeroed arrays for [outputs], run, return them in order. *)
+(** [compile] + [run_compiled]. *)

@@ -1,19 +1,18 @@
-(** Handshake and runtime support for dynlinked native kernels.
+(** Runtime support shared by the two {!Lower} emitters.
 
-    {!Exec_ocaml} pretty-prints each kernel to an OCaml source file whose
-    toplevel effect is one {!register} call, compiles it with [ocamlopt
-    -shared] and [Dynlink]s the result; the loaded unit hands its entry
-    point back through the table here. Everything else in this module is
-    the small runtime surface the generated code calls into: the barrier
-    effect, the exact error raisers of the interpreter backends, and
-    [Expr.eval]'s dynamic-dispatch fallback for statically untypeable
-    expressions — re-exported so generated source references one module
-    only, and so all three backends raise bit-identical errors. *)
+    {!Exec_ocaml} prints each kernel to an OCaml unit whose toplevel effect
+    is one {!register} call, compiles it with [ocamlopt -shared] and
+    [Dynlink]s it; the loaded unit hands its entry point back through the
+    table here. The rest is the runtime both emitters call into — the
+    closures of {!Compile_exec} directly, the generated source through one
+    module reference: the barrier effect, the bounds-check raiser, the MMA
+    tile loop, and [Expr.eval]'s dynamic dispatch for the boxed [Dyn] type.
+    [value] and [binop] re-export [Expr]'s constructors so generated source
+    can name them. *)
 
 type entry = int -> int -> float array array -> int
 (** [entry tid bid bufs] runs one thread and returns the number of
-    statements it executed. [bufs] is indexed by the buffer slots assigned
-    at codegen time. *)
+    statements it executed. [bufs] is indexed by {!Lower}'s buffer slots. *)
 
 val register : string -> entry -> unit
 (** Called by the generated unit's toplevel [let () = ...] under the unit's
@@ -23,7 +22,7 @@ val take : string -> entry option
 (** Claim and remove a registered entry; [None] if the unit never ran its
     registration (a codegen or link bug). *)
 
-(** {1 Runtime support used by generated code} *)
+(** {1 Runtime support} *)
 
 val sync : unit -> unit
 (** Perform {!Interp.Sync} — the block barrier. *)
@@ -31,42 +30,59 @@ val sync : unit -> unit
 val warp_size : int
 
 val oob : int -> int -> string -> 'a
-(** [Interp.Invalid_access] with [Buffer.flat_index]'s exact message. *)
+(** [oob index dim buffer_name]: [Interp.Invalid_access] with
+    [Buffer.flat_index]'s exact message. *)
 
-val rank_mismatch : string -> 'a
-val not_allocated : string -> string -> 'a
-(** [not_allocated name scope_name]. *)
-
-val unbound_var : string -> 'a
-val mma_rank : string -> 'a
-
-val neg_bool : unit -> 'a
-val abs_bool : unit -> 'a
-val bool_binop : unit -> 'a
-(** [Invalid_argument] with [Expr.eval]'s exact messages (the operands
-    have already been evaluated by the caller, like the reference). *)
+val neg_bool : string
+val abs_bool : string
+val bool_binop : string
+(** [Expr.eval]'s [Invalid_argument] messages for bool operands. *)
 
 val erf : float -> float
 
-(** {1 Dynamic-dispatch fallback}
+val mma :
+  int -> int -> int ->
+  float array -> int array -> string -> int array ->
+  float array -> int array -> string -> int array ->
+  float array -> int array -> string -> int array ->
+  unit
+(** [mma m n k a a_dims a_name a_off b ... c ...]: [c += a * b] on the
+    [m x n] tile of [c] (the [m x k] tile of [a], the [k x n] tile of [b])
+    located by one offset per dimension. Leading-dim checks run c, b, a;
+    then per element the trailing-dim checks of c, b, a. The caller gates
+    on lane 0 and evaluates the offsets (a, b, c). *)
 
-    The boxed escape hatch for expressions whose type depends on runtime
-    control flow, dispatching exactly like [Expr.eval]. *)
+(** {1 Dynamic dispatch for the boxed type} *)
 
 type value = Hidet_ir.Expr.value =
   | V_int of int
   | V_float of float
   | V_bool of bool
 
+type binop = Hidet_ir.Expr.binop =
+  | Add
+  | Sub
+  | Mul
+  | Div
+  | Mod
+  | Min
+  | Max
+  | Lt
+  | Le
+  | Gt
+  | Ge
+  | Eq
+  | Ne
+  | And
+  | Or
+
 val int_of_value : value -> int
 val float_of_value : value -> float
 val bool_of_value : value -> bool
-
 val dyn_neg : value -> value
 val dyn_abs : value -> value
 
-val dyn_binop : int -> value -> value -> value
-(** [dyn_binop code va vb] applies the arithmetic/comparison binop encoded
-    by [code] (see {!Exec_ocaml}'s emitter; [And]/[Or] short-circuit in
-    generated code and never reach here): int×int via [Expr.eval_int_binop],
-    numeric mix via [Expr.eval_float_binop], bool operands rejected. *)
+val dyn_binop : binop -> value -> value -> value
+(** An arithmetic or comparison binop ([And]/[Or] short-circuit before
+    reaching here): int×int via [Expr.eval_int_binop], a numeric mix via
+    [Expr.eval_float_binop], bool operands rejected. *)

@@ -238,7 +238,7 @@ let of_string s =
   let top =
     match parse_sexps s with
     | [ List (Atom "graph" :: Atom name :: rest) ] -> (name, rest)
-    | _ -> failwith "Graph_io.of_string: expected (graph \"name\" ...)"
+    | _ -> failwith "expected (graph \"name\" ...)"
   in
   let name, items = top in
   let g = Graph.create () in
@@ -281,7 +281,15 @@ let of_string s =
         in
         Hashtbl.replace remap id new_id
       | List (Atom "outputs" :: ids) ->
-        outputs := List.map (fun i -> Hashtbl.find remap (int_of i)) ids
+        outputs :=
+          List.map
+            (fun i ->
+              let id = int_of i in
+              match Hashtbl.find_opt remap id with
+              | Some x -> x
+              | None ->
+                failwith (Printf.sprintf "output names unknown node %d" id))
+            ids
       | _ -> failwith "unexpected item in graph")
     items;
   if !outputs = [] then failwith "graph without outputs";

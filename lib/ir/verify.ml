@@ -38,7 +38,10 @@ and check_access ctx where buf idx =
       buf.Buffer.name (List.length idx) (Buffer.rank buf);
   List.iter (check_expr ctx where) idx
 
-let check_mma_tile ctx where (buf : Buffer.t) rows cols =
+let check_mma_tile ctx where (buf : Buffer.t) offs rows cols =
+  if List.length offs <> Buffer.rank buf then
+    error ctx where "MMA operand %s: %d offsets for rank %d" buf.Buffer.name
+      (List.length offs) (Buffer.rank buf);
   match List.rev buf.Buffer.dims with
   | c :: r :: _ ->
     if r < rows || c < cols then
@@ -74,9 +77,9 @@ let rec check_stmt ctx (s : Stmt.t) =
         if not (Int_set.mem b.Buffer.id ctx.bufs) then
           error ctx "mma" "access to undeclared buffer %s" b.Buffer.name)
       [ m.a; m.b; m.c ];
-    check_mma_tile ctx "mma" m.a m.m m.k;
-    check_mma_tile ctx "mma" m.b m.k m.n;
-    check_mma_tile ctx "mma" m.c m.m m.n
+    check_mma_tile ctx "mma" m.a m.a_off m.m m.k;
+    check_mma_tile ctx "mma" m.b m.b_off m.k m.n;
+    check_mma_tile ctx "mma" m.c m.c_off m.m m.n
   | Sync_threads ->
     if ctx.divergent then
       error ctx "sync" "sync_threads under thread-divergent control flow"

@@ -8,7 +8,8 @@
       kernel) and accessed with the right rank;
     - [Sync_threads] does not occur under thread-divergent control flow
       (a condition or loop extent mentioning [threadIdx]);
-    - MMA tile shapes fit inside the referenced buffers' trailing dims;
+    - MMA operands are declared, of rank >= 2, located by one offset per
+      dimension, and their tiles fit inside the trailing dims;
     - block size does not exceed the architectural maximum (1024). *)
 
 type error = { where : string; message : string }

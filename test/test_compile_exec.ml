@@ -380,6 +380,55 @@ let select_guard_kernel () =
   in
   (k, bindings_of, [ c ])
 
+(* --- boxed dynamic-type fallback ------------------------------------------ *)
+
+(* A [Select] mixing a thread-dependent bool with a float has no static
+   type, so it runs boxed; so do [Neg] and arithmetic on such a value. *)
+let dyn_select_kernel () =
+  let c = Buffer.create "C" [ 32 ] and d = Buffer.create "D" [ 32 ] in
+  let tid = Expr.Thread_idx in
+  let mixed =
+    Expr.Select (Expr.lt tid (Expr.int 16), Expr.lt tid (Expr.int 8), Expr.float 2.5)
+  in
+  let numeric =
+    Expr.Select (Expr.lt tid (Expr.int 64), Expr.int 3, Expr.lt tid (Expr.int 8))
+  in
+  let body =
+    Stmt.seq
+      [
+        Stmt.store c [ tid ] mixed;
+        Stmt.store d [ tid ]
+          (Expr.Binop (Expr.Mul, Expr.Unop (Expr.Neg, numeric), Expr.float 0.5));
+      ]
+  in
+  let k =
+    Kernel.create ~name:"dyn_select" ~params:[ c; d ] ~grid_dim:1 ~block_dim:32
+      body
+  in
+  (k, (fun () -> [ (c, Array.make 32 0.); (d, Array.make 32 0.) ]), [ c; d ])
+
+(* [Neg] / [Abs] of a bool: the operand is evaluated, then rejected. *)
+let bool_unop_kernel op () =
+  let c = Buffer.create "C" [ 32 ] in
+  let k =
+    Kernel.create ~name:"bool_unop" ~params:[ c ] ~grid_dim:1 ~block_dim:32
+      (Stmt.store c [ Expr.Thread_idx ]
+         (Expr.Unop (op, Expr.lt Expr.Thread_idx (Expr.int 4))))
+  in
+  (k, fun () -> [ (c, Array.make 32 0.) ])
+
+(* A bool operand to an arithmetic binop, statically typed or boxed. *)
+let bool_binop_kernel ~boxed () =
+  let c = Buffer.create "C" [ 32 ] in
+  let tid = Expr.Thread_idx in
+  let b = Expr.lt tid (Expr.int 4) in
+  let b = if boxed then Expr.Select (b, b, Expr.float 2.5) else b in
+  let k =
+    Kernel.create ~name:"bool_binop" ~params:[ c ] ~grid_dim:1 ~block_dim:32
+      (Stmt.store c [ tid ] (Expr.Binop (Expr.Add, Expr.float 1., b)))
+  in
+  (k, fun () -> [ (c, Array.make 32 0.) ])
+
 (* --- parallel-grid gate unit checks --------------------------------------- *)
 
 let vadd_kernel () =
@@ -482,11 +531,19 @@ let () =
           both_raise_same "out-of-bounds store" oob_store_kernel;
           both_raise_same "negative index load" negative_index_kernel;
           both_raise_same "missing binding" missing_binding_kernel;
+          both_raise_same "neg of bool" (bool_unop_kernel Expr.Neg);
+          both_raise_same "abs of bool" (bool_unop_kernel Expr.Abs);
+          both_raise_same "bool operand to arithmetic"
+            (bool_binop_kernel ~boxed:false);
+          both_raise_same "boxed bool operand to arithmetic"
+            (bool_binop_kernel ~boxed:true);
         ] );
       ( "result parity",
         [
           (let k, b, o = mma_kernel () in
            check_same_outputs "mma tile" k b o);
+          (let k, b, o = dyn_select_kernel () in
+           check_same_outputs "boxed select, neg and arithmetic" k b o);
           (let k, b, o = select_guard_kernel () in
            check_same_outputs "select guards OOB" k b o);
         ] );

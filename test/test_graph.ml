@@ -305,21 +305,38 @@ let test_roundtrip_twice_stable () =
   Alcotest.(check string) "fixpoint" (Gio.to_string g) once
 
 let test_malformed_rejected () =
+  let prefix = "Graph_io.of_string: " in
+  let count_prefix msg =
+    let n = String.length prefix in
+    let rec go i acc =
+      if i + n > String.length msg then acc
+      else if String.sub msg i n = prefix then go (i + n) (acc + 1)
+      else go (i + 1) acc
+    in
+    go 0 0
+  in
   List.iter
     (fun s ->
-      Alcotest.(check bool) ("rejects " ^ String.escaped s) true
-        (try
-           ignore (Gio.of_string s);
-           false
-         with Failure _ -> true))
+      match Gio.of_string s with
+      | _ -> Alcotest.failf "accepted %s" (String.escaped s)
+      | exception Failure msg ->
+        Alcotest.(check int)
+          ("one prefix in: " ^ msg) 1 (count_prefix msg))
     [
       "";
+      "(foo)";
       "(graph \"x\"";
       "(graph \"x\" (node 0 (input) (shape 4)))";
+      "(graph \"x\" (node 0 (input) (shape 4)) (outputs 7))";
       "(graph \"x\" (node 0 (wat) (shape 4)) (outputs 0))";
       "(graph \"x\" (node 0 (relu) (inputs 5) (shape 4)) (outputs 0))";
       "(graph \"x\" (node 0 (input) (shape 2 2)) (node 1 (reshape 5) (inputs 0) (shape 5)) (outputs 1))";
-    ]
+    ];
+  match Gio.of_string "(graph \"x\" (node 0 (input) (shape 4)) (outputs 7))" with
+  | _ -> Alcotest.fail "dangling output accepted"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the node"
+      "Graph_io.of_string: output names unknown node 7" msg
 
 (* --- embedding ----------------------------------------------------------------- *)
 

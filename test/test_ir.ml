@@ -317,6 +317,19 @@ let test_verify_mma_rank1_operand () =
   Alcotest.(check bool) "rank-1 operand rejected" true
     (Result.is_error (Verify.kernel k))
 
+let test_verify_mma_offset_count () =
+  (* Rank-3 accumulator located by only two offsets. *)
+  let sa = Buffer.create ~scope:Buffer.Shared "sa" [ 4; 4 ] in
+  let sb = Buffer.create ~scope:Buffer.Shared "sb" [ 4; 4 ] in
+  let sc = Buffer.create ~scope:Buffer.Warp "sc" [ 2; 4; 4 ] in
+  let k =
+    Kernel.create ~shared:[ sa; sb ] ~warp_bufs:[ sc ] ~name:"mma_offs"
+      ~params:[] ~grid_dim:1 ~block_dim:32
+      (mma_stmt sa sb sc ~m:4 ~n:4 ~k:4)
+  in
+  Alcotest.(check bool) "offset count must match rank" true
+    (Result.is_error (Verify.kernel k))
+
 let test_verify_mma_undeclared_operand () =
   (* The accumulator is not declared as a warp buffer of the kernel. *)
   let sa = Buffer.create ~scope:Buffer.Shared "sa" [ 4; 4 ] in
@@ -413,6 +426,8 @@ let () =
           Alcotest.test_case "rank mismatch" `Quick test_verify_rank_mismatch;
           Alcotest.test_case "mma tile too big" `Quick test_verify_mma_tile_too_big;
           Alcotest.test_case "mma rank-1 operand" `Quick test_verify_mma_rank1_operand;
+          Alcotest.test_case "mma offset count" `Quick
+            test_verify_mma_offset_count;
           Alcotest.test_case "mma undeclared operand" `Quick
             test_verify_mma_undeclared_operand;
           Alcotest.test_case "block too big" `Quick test_verify_block_too_big;
