@@ -18,6 +18,10 @@ type rt = {
   mutable stmts : int;  (** statements executed by this thread *)
 }
 
+(* The same check as [Exec_registry]'s MMA loop, kept local so the
+   rank-1..4 closures inline it: dune's dev profile compiles with
+   [-opaque], which rules out cross-module inlining, and a shared
+   out-of-line check costs the closure backend 10-15% of its run time. *)
 let[@inline] check i d name = if i < 0 || i >= d then R.oob i d name
 let[@inline] tick rt = rt.stmts <- rt.stmts + 1
 
@@ -345,7 +349,6 @@ let rec comp_stmt (s : stmt) : rt -> unit =
 type compiled = Lower.compiled
 
 let m_compile_us = Metrics.counter "sim.compile_us"
-let parallel_grid (c : compiled) = c.layout.parallel_ok
 
 let compile (k : Kernel.t) : compiled =
   Verify.kernel_exn k;

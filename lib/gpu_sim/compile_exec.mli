@@ -20,17 +20,13 @@
     {!Exec_ocaml}: [Barrier_divergence] and [Invalid_access] semantics stay
     identical to the legacy interpreter, which remains the reference. *)
 
-type compiled
+type compiled = Lower.compiled
 (** A kernel compiled to thread programs; reusable across launches. *)
 
 val compile : Hidet_ir.Kernel.t -> compiled
 (** Verify ([Verify.kernel_exn], like [Interp.run]) and compile the
     kernel. Records compile wall time in the [sim.compile_us] metric and a
     [sim.compile] trace span. *)
-
-val parallel_grid : compiled -> bool
-(** Whether the verifier proved per-block write disjointness, i.e. whether
-    {!run_compiled} may launch blocks on concurrent domains. *)
 
 val run_compiled :
   ?parallel:bool ->
@@ -40,7 +36,7 @@ val run_compiled :
 (** Execute a compiled kernel. [bindings] follow the [Interp.run] contract
     (one array per parameter, mutated in place) and failures raise the same
     exceptions with the same messages. [parallel] (default [true]) permits
-    domain-parallel block execution when {!parallel_grid} holds. Updates
+    domain-parallel block execution when [layout.parallel_ok] holds. Updates
     the [sim.threads], [sim.statements], [sim.exec_us] metrics and a
     [sim.exec] trace span. *)
 

@@ -22,6 +22,9 @@ type out = { b : B.t; mutable tmp : int }
 
 let s o str = B.add_string o.b str
 
+(* Temporaries are unique and their prefixes (ta, tb, i, n, x) differ from
+   every frame-slot name ([var_name]), so a temporary never shadows a
+   variable printed in its scope. *)
 let fresh o base =
   o.tmp <- o.tmp + 1;
   base ^ string_of_int o.tmp
@@ -132,10 +135,10 @@ let rec pr : type a. out -> a expr -> unit =
     wrap f a ")"
   | Arith (I, ((Min | Max) as op), a, b) ->
     (* The closures bind b, then a, then compare. *)
-    let vb = fresh o "vb" and va = fresh o "va" in
-    bin ("(let " ^ vb ^ " = ") b (" in let " ^ va ^ " = ") a
-      (Printf.sprintf " in if %s %s %s then %s else %s)" va
-         (if op = Min then "<=" else ">=") vb va vb)
+    let tb = fresh o "tb" and ta = fresh o "ta" in
+    bin ("(let " ^ tb ^ " = ") b (" in let " ^ ta ^ " = ") a
+      (Printf.sprintf " in if %s %s %s then %s else %s)" ta
+         (if op = Min then "<=" else ">=") tb ta tb)
   | Arith (F, ((Mod | Min | Max) as op), a, b) ->
     let f = match op with Mod -> "rem" | Min -> "min" | _ -> "max" in
     bin ("(Float." ^ f ^ " ") a " " b ")"
@@ -143,9 +146,9 @@ let rec pr : type a. out -> a expr -> unit =
   | Arith (F, op, a, b) -> bin "(" a (" " ^ fst (op_names op) ^ ". ") b ")"
   | Cmp (_, op, a, b) -> bin "(" a (" " ^ fst (op_names op) ^ " ") b ")"
   | Dyn_binop (op, a, b) ->
-    let va = fresh o "va" and vb = fresh o "vb" in
-    bin ("(let " ^ va ^ " = ") a (" in let " ^ vb ^ " = ") b
-      (Printf.sprintf " in R.dyn_binop R.%s %s %s)" (snd (op_names op)) va vb)
+    let ta = fresh o "ta" and tb = fresh o "tb" in
+    bin ("(let " ^ ta ^ " = ") a (" in let " ^ tb ^ " = ") b
+      (Printf.sprintf " in R.dyn_binop R.%s %s %s)" (snd (op_names op)) ta tb)
   | Reject (operands, msg) ->
     s o "(";
     List.iter (fun (E (_, x)) -> wrap "ignore " x "; ") operands;

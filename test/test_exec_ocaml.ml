@@ -410,6 +410,32 @@ let dyn_select_kernel () =
   in
   (k, (fun () -> [ (c, Array.make 32 0.); (d, Array.make 32 0.) ]), [ c; d ])
 
+(* Nested int [Min]s whose operands read bools bound in frame slots 1 and
+   2: the native source's temporaries must not shadow those slots. *)
+let min_over_bool_slots_kernel () =
+  let c = Buffer.create "C" [ 32 ] in
+  let tid = Expr.Thread_idx in
+  let p = Var.fresh "p" and q = Var.fresh "q" and r = Var.fresh "r" in
+  let x = Var.fresh "x" in
+  let pick v a b = Expr.Select (Expr.var v, Expr.int a, Expr.int b) in
+  let inner =
+    Expr.add (Expr.add (pick q 1 2) (pick r 3 4)) (pick p 10 0)
+  in
+  let body =
+    Stmt.let_ p (Expr.lt tid (Expr.int 4))
+      (Stmt.let_ q (Expr.lt tid (Expr.int 8))
+         (Stmt.let_ r (Expr.lt tid (Expr.int 16))
+            (Stmt.let_ x
+               (Expr.Binop
+                  (Expr.Min, Expr.Binop (Expr.Min, inner, Expr.int 6), Expr.int 9))
+               (Stmt.store c [ tid ] (Expr.var x)))))
+  in
+  let k =
+    Kernel.create ~name:"min_bool_slots" ~params:[ c ] ~grid_dim:1 ~block_dim:32
+      body
+  in
+  (k, (fun () -> [ (c, Array.make 32 0.) ]), [ c ])
+
 (* [Neg] / [Abs] of a bool: the operand is evaluated, then rejected. *)
 let bool_unop_kernel op () =
   let c = Buffer.create "C" [ 32 ] in
@@ -549,6 +575,8 @@ let () =
              check_same_outputs "mma tile" k b o);
             (let k, b, o = dyn_select_kernel () in
              check_same_outputs "boxed select, neg and arithmetic" k b o);
+            (let k, b, o = min_over_bool_slots_kernel () in
+             check_same_outputs "int min over bools in frame slots" k b o);
           ] );
         ( "compilation",
           [
