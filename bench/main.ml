@@ -496,12 +496,52 @@ let tuning_service () =
     (Hidet_sched.Schedule_cache.size ())
 
 (* ------------------------------------------------------------------ *)
-(* Simulator backends: legacy tree-walking vs closure-compiled         *)
+(* BENCH files: one envelope, one gate list                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Set by --quick / --out in main. *)
-let interp_quick = ref false
-let interp_out = ref "BENCH_interp.json"
+(* Every experiment below that writes a BENCH file records its pass/fail
+   gates with [gate] and ends with [write_bench], which emits the shared
+   envelope {experiment, quick, cores, gates, ...experiment fields} and
+   then fails the run if any gate failed (`make *-smoke` and CI rely on
+   that exit code). *)
+
+module J = Hidet_obs.Json
+
+(* Set by --quick / --out in main; the default path is BENCH_<id>.json. *)
+let quick = ref false
+let out = ref None
+let gates = ref []
+
+(* A failing gate prints its FAIL line at once; the run still writes its
+   BENCH file before exiting non-zero. *)
+let gate ~name ~value ~bound ok msg =
+  if not ok then Printf.eprintf "FAIL: %s\n" msg;
+  gates :=
+    J.Obj [ ("name", J.Str name); ("value", value); ("bound", bound); ("ok", J.Bool ok) ]
+    :: !gates
+
+let write_bench experiment fields =
+  let path =
+    Option.value !out ~default:(Printf.sprintf "BENCH_%s.json" experiment)
+  in
+  let recorded = List.rev !gates in
+  gates := [];
+  let json =
+    J.Obj
+      ([ ("experiment", J.Str experiment); ("quick", J.Bool !quick);
+         ("cores", J.int (Domain.recommended_domain_count ()));
+         ("gates", J.Arr recorded) ]
+      @ fields)
+  in
+  Hidet_obs.Io.write_atomic path (fun oc ->
+      output_string oc (J.to_string ~indent:true json ^ "\n"));
+  Printf.printf "wrote %s\n" path;
+  if List.exists (fun g -> J.member "ok" g = Some (J.Bool false)) recorded then
+    exit 1
+
+(* ------------------------------------------------------------------ *)
+(* Simulator backends: legacy tree-walking vs closure-compiled         *)
+(* ------------------------------------------------------------------ *)
 
 let bench_interp () =
   section
@@ -510,7 +550,7 @@ let bench_interp () =
   let module Metrics = Hidet_obs.Metrics in
   let module T = Hidet_tensor.Tensor in
   let stmt_counter = Metrics.counter "sim.statements" in
-  let quick = !interp_quick in
+  let quick = !quick in
   let native_ok =
     match Hidet_gpu.Exec_ocaml.available () with
     | Ok () -> true
@@ -598,32 +638,6 @@ let bench_interp () =
          native_sps))
       [ matmul; fused_conv ]
   in
-  let oc = open_out !interp_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"interp\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"native_available\": %b,\n" native_ok;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, stmts, wl, wc, lsps, csps, nsps) ->
-      let native_fields =
-        match nsps with
-        | None -> "\"native_stmts_per_s\": null"
-        | Some n ->
-            Printf.sprintf
-              "\"native_stmts_per_s\": %.1f, \"native_vs_compiled\": %.2f" n
-              (n /. csps)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"statements_per_launch\": %d,\n\
-        \     \"legacy_wall_s\": %.6f, \"compiled_wall_s\": %.6f,\n\
-        \     \"legacy_stmts_per_s\": %.1f, \"compiled_stmts_per_s\": %.1f,\n\
-        \     %s,\n\
-        \     \"speedup\": %.2f}%s\n"
-        name stmts wl wc lsps csps native_fields (csps /. lsps)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !interp_out;
   (* The compiled backend exists to be faster than the tree walker, and the
      native backend to be faster than the closure compiler (on the matmul
      quickstart, where the ocamlopt cost is amortized by the memo); treat a
@@ -631,30 +645,49 @@ let bench_interp () =
      gate on it. *)
   List.iter
     (fun (name, _, _, _, lsps, csps, nsps) ->
-      if csps < lsps then begin
-        Printf.eprintf "FAIL: compiled backend slower than legacy on %s\n" name;
-        exit 1
-      end;
+      gate ~name:("compiled_speedup/" ^ name) ~value:(J.Num (csps /. lsps))
+        ~bound:(J.Num 1.) (csps >= lsps)
+        (Printf.sprintf "compiled backend slower than legacy on %s" name);
       match nsps with
-      | Some n when n <= csps && name = (fun (n, _, _) -> n) matmul ->
-          Printf.eprintf
-            "FAIL: native backend not faster than closure backend on %s \
-             (native %.3g st/s vs compiled %.3g st/s)\n"
-            name n csps;
-          exit 1
+      | Some n when name = (fun (n, _, _) -> n) matmul ->
+          gate ~name:("native_vs_compiled/" ^ name) ~value:(J.Num (n /. csps))
+            ~bound:(J.Num 1.) (n > csps)
+            (Printf.sprintf
+               "native backend not faster than closure backend on %s \
+                (native %.3g st/s vs compiled %.3g st/s)"
+               name n csps)
       | _ -> ())
-    rows
+    rows;
+  write_bench "interp"
+    [ ("native_available", J.Bool native_ok);
+      ( "workloads",
+        J.Arr
+          (List.map
+             (fun (name, stmts, wl, wc, lsps, csps, nsps) ->
+               let native_fields =
+                 match nsps with
+                 | None -> [ ("native_stmts_per_s", J.Null) ]
+                 | Some n ->
+                     [ ("native_stmts_per_s", J.Num n);
+                       ("native_vs_compiled", J.Num (n /. csps)) ]
+               in
+               J.Obj
+                 ([ ("name", J.Str name); ("statements_per_launch", J.int stmts);
+                    ("legacy_wall_s", J.Num wl); ("compiled_wall_s", J.Num wc);
+                    ("legacy_stmts_per_s", J.Num lsps);
+                    ("compiled_stmts_per_s", J.Num csps) ]
+                 @ native_fields
+                 @ [ ("speedup", J.Num (csps /. lsps)) ]))
+             rows) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Serving: throughput and tail latency vs offered load                *)
 (* ------------------------------------------------------------------ *)
 
-let serve_out = ref "BENCH_serve.json"
-
 let bench_serve () =
   section "bench: serve — dynamic batching vs batch-1 under offered load";
   let module S = Hidet_serve in
-  let quick = !interp_quick in
+  let quick = !quick in
   let model =
     S.Registry.load
       ~engine:(module HE)
@@ -727,39 +760,7 @@ let bench_serve () =
     "exec check: %d responses executed, %d mismatches vs batch-1 plan\n"
     (List.length exec_report.S.Server.responses)
     exec_mismatches;
-  let oc = open_out !serve_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"serve\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc
-    "  \"model\": \"tiny_cnn\", \"engine\": \"hidet\", \"seed\": %d,\n" seed;
-  Printf.fprintf oc
-    "  \"deadline_ms\": %.0f, \"service_scale\": %.0f, \"workers\": 2, \
-     \"buckets\": [1, 2, 4, 8],\n"
-    (deadline *. 1e3) scale;
-  Printf.fprintf oc "  \"sweep\": [\n";
-  List.iteri
-    (fun i (rps, batching, s, slo) ->
-      Printf.fprintf oc
-        "    {\"rps\": %.0f, \"batching\": %b, \"stats\": %s, \"slo\": %s}%s\n"
-        rps batching
-        (S.Server.stats_to_json s)
-        (S.Slo.verdict_to_json slo)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"exec_check\": {\"responses\": %d, \"mismatches\": %d}\n}\n"
-    (List.length exec_report.S.Server.responses)
-    exec_mismatches;
-  close_out oc;
-  Printf.printf "wrote %s\n" !serve_out;
   (* Gates (make serve-smoke relies on these): *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
   let find b r =
     let _, _, s, slo =
       List.find (fun (rps, bt, _, _) -> bt = b && rps = r) rows
@@ -768,45 +769,68 @@ let bench_serve () =
   in
   let lo = List.hd rates and hi = List.nth rates (List.length rates - 1) in
   let low_b, low_slo = find true lo in
-  check
-    (low_b.S.Server.shed = 0
-    && low_b.S.Server.rejected = 0
-    && low_b.S.Server.deadline_miss = 0)
+  let low_misses =
+    low_b.S.Server.shed + low_b.S.Server.rejected + low_b.S.Server.deadline_miss
+  in
+  gate ~name:"low_load_misses" ~value:(J.int low_misses) ~bound:(J.int 0)
+    (low_misses = 0)
     "batched serving at low load must meet the deadline for every request";
-  check
+  gate ~name:"low_load_alert" ~value:(J.Bool (S.Slo.fired low_slo))
+    ~bound:(J.Bool false)
     (not (S.Slo.fired low_slo))
     "no burn-rate alert may fire at low load";
   let (hi_b, hi_slo), (hi_n, _) = (find true hi, find false hi) in
-  check (S.Slo.fired hi_slo)
+  gate ~name:"overload_alert" ~value:(J.Bool (S.Slo.fired hi_slo))
+    ~bound:(J.Bool true) (S.Slo.fired hi_slo)
     "overload must fire a burn-rate alert (budget is burning)";
-  check
+  gate ~name:"overload_batching_speedup"
+    ~value:(J.Num (hi_b.S.Server.throughput /. hi_n.S.Server.throughput))
+    ~bound:(J.Num 2.)
     (hi_b.S.Server.throughput > hi_n.S.Server.throughput *. 2.)
     "at saturation, dynamic batching must out-serve batch-1 dispatch";
-  check
+  gate ~name:"overload_mean_batch" ~value:(J.Num hi_b.S.Server.mean_batch)
+    ~bound:(J.Num 1.)
     (hi_b.S.Server.mean_batch > 1.)
     "overload must actually coalesce requests into batches";
-  check (hi_b.S.Server.shed > 0)
+  gate ~name:"overload_shed" ~value:(J.int hi_b.S.Server.shed) ~bound:(J.int 0)
+    (hi_b.S.Server.shed > 0)
     "overload must shed requests that cannot meet their deadline";
-  check
+  gate ~name:"overload_rejected" ~value:(J.int hi_b.S.Server.rejected)
+    ~bound:(J.int 0)
     (hi_b.S.Server.rejected > 0)
     "overload must exert backpressure at the bounded queue";
   let tail_bound = deadline +. (S.Registry.latency model 8 *. scale) +. 1e-9 in
-  check
+  gate ~name:"overload_p99_s" ~value:(J.Num hi_b.S.Server.e2e_p99)
+    ~bound:(J.Num tail_bound)
     (hi_b.S.Server.e2e_p99 <= tail_bound)
     (Printf.sprintf
        "admitted p99 must stay bounded under overload (%.1f ms > %.1f ms)"
        (hi_b.S.Server.e2e_p99 *. 1e3)
        (tail_bound *. 1e3));
-  check
-    (List.length exec_report.S.Server.responses > 0 && exec_mismatches = 0)
+  let responses = List.length exec_report.S.Server.responses in
+  gate ~name:"exec_mismatches" ~value:(J.int exec_mismatches) ~bound:(J.int 0)
+    (responses > 0 && exec_mismatches = 0)
     "every executed response must match the batch-1 plan bit for bit";
-  if !fail then exit 1
+  write_bench "serve"
+    [ ("model", J.Str "tiny_cnn"); ("engine", J.Str "hidet"); ("seed", J.int seed);
+      ("deadline_ms", J.Num (deadline *. 1e3)); ("service_scale", J.Num scale);
+      ("workers", J.int 2); ("buckets", J.Arr (List.map J.int [ 1; 2; 4; 8 ]));
+      ( "sweep",
+        J.Arr
+          (List.map
+             (fun (rps, batching, s, slo) ->
+               J.Obj
+                 [ ("rps", J.Num rps); ("batching", J.Bool batching);
+                   ("stats", S.Server.stats_to_json s);
+                   ("slo", S.Slo.verdict_to_json slo) ])
+             rows) );
+      ( "exec_check",
+        J.Obj [ ("responses", J.int responses); ("mismatches", J.int exec_mismatches) ]
+      ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharding: tensor/pipeline parallelism under the cluster cost model  *)
 (* ------------------------------------------------------------------ *)
-
-let shard_out = ref "BENCH_shard.json"
 
 let bench_shard () =
   section
@@ -925,49 +949,7 @@ let bench_shard () =
     in
     [ v1; v2; v3; v4 ]
   in
-  let oc = open_out !shard_out in
-  let est_json (e : Shard.estimate) =
-    Printf.sprintf
-      "{\"devices\": %d, \"compute_s\": %.6e, \"comm_s\": %.6e, \"total_s\": \
-       %.6e, \"baseline_s\": %.6e, \"speedup\": %.3f}"
-      e.Shard.devices e.Shard.compute e.Shard.comm e.Shard.total
-      e.Shard.baseline e.Shard.speedup
-  in
-  Printf.fprintf oc "{\n  \"experiment\": \"shard\",\n";
-  Printf.fprintf oc
-    "  \"link\": {\"name\": \"nvlink\", \"latency_s\": %.2e, \
-     \"bandwidth_Bps\": %.3e},\n"
-    Cluster.nvlink.Cluster.latency Cluster.nvlink.Cluster.bandwidth;
-  Printf.fprintf oc "  \"sweep\": [\n";
-  let all_rows = tp_rows @ pp_rows in
-  List.iteri
-    (fun i (name, strat, devices, e) ->
-      Printf.fprintf oc
-        "    {\"graph\": \"%s\", \"strategy\": \"%s\", \"devices\": %d, \
-         \"estimate\": %s}%s\n"
-        name strat devices (est_json e)
-        (if i = List.length all_rows - 1 then "" else ","))
-    all_rows;
-  Printf.fprintf oc "  ],\n  \"verify\": [\n";
-  List.iteri
-    (fun i (name, strat, ok, msg) ->
-      Printf.fprintf oc
-        "    {\"graph\": \"%s\", \"strategy\": \"%s\", \"ok\": %b, \"detail\": \
-         %S}%s\n"
-        name strat ok msg
-        (if i = List.length verifies - 1 then "" else ","))
-    verifies;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !shard_out;
   (* Gates (make shard-smoke and CI rely on these): *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
   let tp_speedup ~devices =
     List.fold_left
       (fun acc (_, _, d, (e : Shard.estimate)) ->
@@ -975,10 +957,10 @@ let bench_shard () =
       0. tp_rows
   in
   let s2 = tp_speedup ~devices:2 and s4 = tp_speedup ~devices:4 in
-  check (s2 >= 1.6)
+  gate ~name:"tp_speedup_2dev" ~value:(J.Num s2) ~bound:(J.Num 1.6) (s2 >= 1.6)
     (Printf.sprintf
        "tensor-parallel matmul must reach >= 1.6x at 2 devices (got %.2fx)" s2);
-  check (s4 > s2)
+  gate ~name:"tp_speedup_4dev" ~value:(J.Num s4) ~bound:(J.Num s2) (s4 > s2)
     (Printf.sprintf
        "tensor-parallel speedup must keep scaling at 4 devices (%.2fx <= \
         %.2fx)"
@@ -987,27 +969,56 @@ let bench_shard () =
     let _, _, _, e = List.hd pp_rows in
     e.Shard.speedup
   in
-  check (pp2 > 1.0)
+  gate ~name:"pp_speedup_2dev" ~value:(J.Num pp2) ~bound:(J.Num 1.) (pp2 > 1.0)
     (Printf.sprintf
        "pipeline must beat single-device on the staged DAG (got %.2fx)" pp2);
+  let all_rows = tp_rows @ pp_rows in
   List.iter
-    (fun (_, _, _, (e : Shard.estimate)) ->
-      check (e.Shard.comm > 0.)
+    (fun (name, strat, devices, (e : Shard.estimate)) ->
+      gate
+        ~name:(Printf.sprintf "comm_s/%s/%s/%d" name strat devices)
+        ~value:(J.Num e.Shard.comm) ~bound:(J.Num 0.) (e.Shard.comm > 0.)
         "every multi-device plan must be billed a nonzero collective cost")
     all_rows;
   List.iter
     (fun (name, strat, ok, msg) ->
-      check ok
+      gate
+        ~name:(Printf.sprintf "verify/%s/%s" name strat)
+        ~value:(J.Bool ok) ~bound:(J.Bool true) ok
         (Printf.sprintf "executed equivalence must hold for %s/%s: %s" name
            strat msg))
     verifies;
-  if !fail then exit 1
+  let est_json (e : Shard.estimate) =
+    J.Obj
+      [ ("devices", J.int e.Shard.devices); ("compute_s", J.Num e.Shard.compute);
+        ("comm_s", J.Num e.Shard.comm); ("total_s", J.Num e.Shard.total);
+        ("baseline_s", J.Num e.Shard.baseline); ("speedup", J.Num e.Shard.speedup) ]
+  in
+  write_bench "shard"
+    [ ( "link",
+        J.Obj
+          [ ("name", J.Str "nvlink"); ("latency_s", J.Num Cluster.nvlink.Cluster.latency);
+            ("bandwidth_Bps", J.Num Cluster.nvlink.Cluster.bandwidth) ] );
+      ( "sweep",
+        J.Arr
+          (List.map
+             (fun (name, strat, devices, e) ->
+               J.Obj
+                 [ ("graph", J.Str name); ("strategy", J.Str strat);
+                   ("devices", J.int devices); ("estimate", est_json e) ])
+             all_rows) );
+      ( "verify",
+        J.Arr
+          (List.map
+             (fun (name, strat, ok, msg) ->
+               J.Obj
+                 [ ("graph", J.Str name); ("strategy", J.Str strat); ("ok", J.Bool ok);
+                   ("detail", J.Str msg) ])
+             verifies) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Guided search vs the exhaustive oracle on the widened space         *)
 (* ------------------------------------------------------------------ *)
-
-let tune_out = ref "BENCH_tune.json"
 
 let bench_tune () =
   section
@@ -1015,7 +1026,7 @@ let bench_tune () =
      schedule space";
   let module Se = Hidet_sched.Search in
   let module Space = Hidet_sched.Space in
-  let quick = !interp_quick in
+  let quick = !quick in
   (* The interp quickstart matmul plus two Table 1 GEMMs. *)
   let shapes =
     if quick then [ (123, 77, 45) ]
@@ -1072,76 +1083,60 @@ let bench_tune () =
     (MT.config_to_string wcfg)
     (us wst.Tu.best_latency)
     gain;
-  let oc = open_out !tune_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"tune\",\n  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"shapes\": [\n";
-  List.iteri
-    (fun i (m, n, k, ncand, ecfg, est, gcfg, gst, ratio, frac) ->
-      Printf.fprintf oc
-        "    {\"shape\": \"%dx%dx%d\", \"candidates\": %d,\n\
-        \     \"exhaustive\": {\"trials\": %d, \"best_config\": \"%s\", \
-         \"best_latency_us\": %.3f},\n\
-        \     \"guided\": {\"trials\": %d, \"best_config\": \"%s\", \
-         \"best_latency_us\": %.3f},\n\
-        \     \"latency_ratio\": %.4f, \"measured_fraction\": %.4f}%s\n"
-        m n k ncand est.Tu.trials (MT.config_to_string ecfg)
-        (us est.Tu.best_latency)
-        gst.Tu.trials (MT.config_to_string gcfg)
-        (us gst.Tu.best_latency)
-        ratio frac
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"widened_gate\": {\"shape\": \"%dx%dx%d\",\n\
-    \    \"old_best_config\": \"%s\", \"old_best_latency_us\": %.3f,\n\
-    \    \"widened_best_config\": \"%s\", \"widened_best_latency_us\": %.3f,\n\
-    \    \"gain\": %.4f}\n"
-    bm bn bk (MT.config_to_string ocfg)
-    (us ost.Tu.best_latency)
-    (MT.config_to_string wcfg)
-    (us wst.Tu.best_latency)
-    gain;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !tune_out;
   (* Gates (make tune-smoke and CI rely on these). *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
   List.iter
     (fun (m, n, k, _, _, _, _, _, ratio, frac) ->
-      check (ratio <= 1.05)
+      let shape = Printf.sprintf "%dx%dx%d" m n k in
+      gate ~name:("guided_latency_ratio/" ^ shape) ~value:(J.Num ratio)
+        ~bound:(J.Num 1.05) (ratio <= 1.05)
         (Printf.sprintf
-           "guided must land within 5%% of the exhaustive best on %dx%dx%d \
-            (got %.3fx)"
-           m n k ratio);
-      check (frac <= 0.25)
+           "guided must land within 5%% of the exhaustive best on %s (got \
+            %.3fx)"
+           shape ratio);
+      gate ~name:("guided_measured_fraction/" ^ shape) ~value:(J.Num frac)
+        ~bound:(J.Num 0.25) (frac <= 0.25)
         (Printf.sprintf
-           "guided must measure <= 25%% of the candidates on %dx%dx%d (got \
-            %.1f%%)"
-           m n k (100. *. frac)))
+           "guided must measure <= 25%% of the candidates on %s (got %.1f%%)"
+           shape (100. *. frac)))
     rows;
-  check
+  gate ~name:"widened_gain" ~value:(J.Num gain) ~bound:(J.Num 1.)
     (wst.Tu.best_latency < ost.Tu.best_latency)
     "a widened-space schedule must beat the pre-widening best on the \
      bandwidth-bound GEMM";
-  check
-    (wcfg.MT.swizzle || wcfg.MT.stages > 2)
+  let widened_winner = wcfg.MT.swizzle || wcfg.MT.stages > 2 in
+  gate ~name:"widened_winner_dimension" ~value:(J.Bool widened_winner)
+    ~bound:(J.Bool true) widened_winner
     (Printf.sprintf
        "the bandwidth-bound winner must use a widened dimension (got %s)"
        (MT.config_to_string wcfg));
-  if !fail then exit 1
+  let best cfg (st : Tu.stats) =
+    [ ("trials", J.int st.Tu.trials); ("best_config", J.Str (MT.config_to_string cfg));
+      ("best_latency_us", J.Num (us st.Tu.best_latency)) ]
+  in
+  write_bench "tune"
+    [ ( "shapes",
+        J.Arr
+          (List.map
+             (fun (m, n, k, ncand, ecfg, est, gcfg, gst, ratio, frac) ->
+               J.Obj
+                 [ ("shape", J.Str (Printf.sprintf "%dx%dx%d" m n k));
+                   ("candidates", J.int ncand);
+                   ("exhaustive", J.Obj (best ecfg est));
+                   ("guided", J.Obj (best gcfg gst));
+                   ("latency_ratio", J.Num ratio); ("measured_fraction", J.Num frac) ])
+             rows) );
+      ( "widened_gate",
+        J.Obj
+          [ ("shape", J.Str (Printf.sprintf "%dx%dx%d" bm bn bk));
+            ("old_best_config", J.Str (MT.config_to_string ocfg));
+            ("old_best_latency_us", J.Num (us ost.Tu.best_latency));
+            ("widened_best_config", J.Str (MT.config_to_string wcfg));
+            ("widened_best_latency_us", J.Num (us wst.Tu.best_latency));
+            ("gain", J.Num gain) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cycle-approximate fidelity vs the analytic ranking                  *)
 (* ------------------------------------------------------------------ *)
-
-let fidelity_out = ref "BENCH_fidelity.json"
 
 (* Spearman rank correlation with average ranks for ties (Pearson on the
    rank vectors). 1.0 for degenerate inputs (n < 2 or a constant vector —
@@ -1188,7 +1183,7 @@ let bench_fidelity () =
   let module Space = Hidet_sched.Space in
   let module Fid = Hidet_cycle.Fidelity in
   let module PM = Hidet_gpu.Perf_model in
-  let quick = !interp_quick in
+  let quick = !quick in
   let shapes =
     if quick then [ (256, 256, 256) ]
     else
@@ -1284,66 +1279,57 @@ let bench_fidelity () =
         row)
       shapes
   in
-  let oc = open_out !fidelity_out in
-  Printf.fprintf oc "{\n  \"experiment\": \"fidelity\",\n  \"quick\": %b,\n"
-    quick;
-  Printf.fprintf oc "  \"shapes\": [\n";
-  List.iteri
-    (fun i
-         (m, n, k, ncand, nfeas, rho, acfg, ala, alc, ccfg, cla, clc, ax, cx,
-          attribution) ->
-      Printf.fprintf oc
-        "    {\"shape\": \"%dx%dx%d\", \"candidates\": %d, \"feasible\": %d,\n\
-        \     \"spearman\": %.4f,\n\
-        \     \"analytic_winner\": {\"config\": \"%s\", \
-         \"analytic_latency_us\": %.3f, \"cycle_latency_us\": %.3f,\n\
-        \       \"txn_per_access\": %.3f, \"conflict_factor\": %.3f, \
-         \"l1_hit\": %.3f, \"l2_hit\": %.3f},\n\
-        \     \"cycle_winner\": {\"config\": \"%s\", \
-         \"analytic_latency_us\": %.3f, \"cycle_latency_us\": %.3f,\n\
-        \       \"txn_per_access\": %.3f, \"conflict_factor\": %.3f, \
-         \"l1_hit\": %.3f, \"l2_hit\": %.3f},\n\
-        \     \"winner_changed\": %b, \"attribution\": \"%s\"}%s\n"
-        m n k ncand nfeas rho (MT.config_to_string acfg) (us ala) (us alc)
-        ax.Fid.txn_per_access ax.Fid.conflict_factor ax.Fid.l1_hit
-        ax.Fid.l2_hit (MT.config_to_string ccfg) (us cla) (us clc)
-        cx.Fid.txn_per_access cx.Fid.conflict_factor cx.Fid.l1_hit
-        cx.Fid.l2_hit (acfg = ccfg |> not) attribution
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" !fidelity_out;
   (* Gates (make fidelity-smoke and CI rely on these). *)
-  let fail = ref false in
-  let check cond msg =
-    if not cond then begin
-      Printf.eprintf "FAIL: %s\n" msg;
-      fail := true
-    end
-  in
   List.iter
     (fun (m, n, k, _, _, rho, _, _, alc, _, _, clc, _, _, _) ->
-      check (rho >= 0.35)
+      let shape = Printf.sprintf "%dx%dx%d" m n k in
+      gate ~name:("spearman/" ^ shape) ~value:(J.Num rho) ~bound:(J.Num 0.35)
+        (rho >= 0.35)
         (Printf.sprintf
-           "analytic and cycle rankings must agree ordinally on %dx%dx%d \
-            (spearman %.3f < 0.35)"
-           m n k rho);
-      check
+           "analytic and cycle rankings must agree ordinally on %s (spearman \
+            %.3f < 0.35)"
+           shape rho);
+      gate ~name:("cycle_winner_latency_us/" ^ shape) ~value:(J.Num (us clc))
+        ~bound:(J.Num (us alc))
         (clc <= alc +. 1e-12)
         (Printf.sprintf
            "the cycle-ranked winner must be at least as good as the \
-            analytic-ranked winner under the cycle model on %dx%dx%d"
-           m n k))
+            analytic-ranked winner under the cycle model on %s"
+           shape))
     rows;
-  check
-    (List.exists
-       (fun (_, _, _, _, _, _, acfg, _, _, ccfg, _, _, _, _, attribution) ->
-         acfg <> ccfg && attribution <> "")
-       rows)
+  let explained =
+    List.exists
+      (fun (_, _, _, _, _, _, acfg, _, _, ccfg, _, _, _, _, attribution) ->
+        acfg <> ccfg && attribution <> "")
+      rows
+  in
+  gate ~name:"winner_change_explained" ~value:(J.Bool explained)
+    ~bound:(J.Bool true) explained
     "at least one shape must change winners for a reason the analytic model \
      cannot see (coalescing, bank conflicts or caches)";
-  if !fail then exit 1
+  let winner cfg la lc (x : Fid.extras) =
+    J.Obj
+      [ ("config", J.Str (MT.config_to_string cfg));
+        ("analytic_latency_us", J.Num (us la)); ("cycle_latency_us", J.Num (us lc));
+        ("txn_per_access", J.Num x.Fid.txn_per_access);
+        ("conflict_factor", J.Num x.Fid.conflict_factor);
+        ("l1_hit", J.Num x.Fid.l1_hit); ("l2_hit", J.Num x.Fid.l2_hit) ]
+  in
+  write_bench "fidelity"
+    [ ( "shapes",
+        J.Arr
+          (List.map
+             (fun (m, n, k, ncand, nfeas, rho, acfg, ala, alc, ccfg, cla, clc, ax,
+                   cx, attribution) ->
+               J.Obj
+                 [ ("shape", J.Str (Printf.sprintf "%dx%dx%d" m n k));
+                   ("candidates", J.int ncand); ("feasible", J.int nfeas);
+                   ("spearman", J.Num rho);
+                   ("analytic_winner", winner acfg ala alc ax);
+                   ("cycle_winner", winner ccfg cla clc cx);
+                   ("winner_changed", J.Bool (acfg <> ccfg));
+                   ("attribution", J.Str attribution) ])
+             rows) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the compiler itself                    *)
@@ -1440,20 +1426,17 @@ let () =
       in
       find args
     in
-    (* --quick / --out FILE: fewer repetitions and the output path for the
-       interp backend comparison and the serving benchmark. *)
-    interp_quick := List.mem "--quick" args;
-    (let rec find = function
-       | "--out" :: path :: _ ->
-         interp_out := path;
-         serve_out := path;
-         shard_out := path;
-         tune_out := path;
-         fidelity_out := path
-       | _ :: rest -> find rest
-       | [] -> ()
-     in
-     find args);
+    (* --quick / --out FILE: fewer repetitions and the BENCH file path for
+       the experiments that write one (interp, serve, shard, tune,
+       fidelity). *)
+    quick := List.mem "--quick" args;
+    (out :=
+       let rec find = function
+         | "--out" :: path :: _ -> Some path
+         | _ :: rest -> find rest
+         | [] -> None
+       in
+       find args);
     (* --trace FILE: record spans for the whole run, export Chrome JSON. *)
     let trace_file =
       let rec find = function

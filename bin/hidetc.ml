@@ -371,13 +371,25 @@ let verify_shard shard g =
     Printf.eprintf "shard verify FAILED: %s\n" msg;
     exit 1
 
+(* Bad input (no model source, an unreadable or malformed HGF file) is a
+   usage error: one line and exit 2, not an uncaught exception. *)
+let input_error msg =
+  Printf.eprintf "hidetc: %s\n" msg;
+  exit 2
+
+let load_graph path =
+  match Hidet_graph.Graph_io.load path with
+  | g -> g
+  | exception Sys_error msg -> input_error msg
+  | exception Failure msg -> input_error (path ^ ": " ^ msg)
+
 let graph_of model file batch =
   match file with
-  | Some path -> Hidet_graph.Graph_io.load path
+  | Some path -> load_graph path
   | None -> (
     match model with
     | Some m -> M.by_name ~batch m
-    | None -> failwith "pass --model or --file")
+    | None -> input_error "pass --model or --file")
 
 let compile_cmd =
   let verify_shard_arg =
@@ -951,9 +963,9 @@ let serve_cmd =
     set_search search search_warm;
     let source =
       match (model, file) with
-      | _, Some path -> S.Registry.File path
+      | _, Some path -> S.Registry.Graph (load_graph path)
       | Some m, None -> S.Registry.Zoo m
-      | None, None -> failwith "pass --model or --file"
+      | None, None -> input_error "pass --model or --file"
     in
     (* The full zoo models compile fine but have millions of simulated
        threads per kernel — executing them is not feasible; their serving
@@ -1077,19 +1089,20 @@ let serve_cmd =
     in
     (match out with
     | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"model\": %S, \"engine\": %S, \"seed\": %d, \"virtual\": %b, \
-         \"stats\": %s, \"alerts\": %s, \"flight_fired\": %b}\n"
-        (match (model, file) with
-        | Some m, _ -> m
-        | None, Some f -> f
-        | None, None -> "?")
-        engine seed virtual_
-        (S.Server.stats_to_json r.S.Server.summary)
-        (S.Slo.verdict_to_json r.S.Server.slo)
-        flight_fired;
-      close_out oc;
+      let name =
+        Option.value model ~default:(Option.value file ~default:"?")
+      in
+      let json =
+        Obs.Json.(
+          Obj
+            [ ("model", Str name); ("engine", Str engine); ("seed", int seed);
+              ("virtual", Bool virtual_);
+              ("stats", S.Server.stats_to_json r.S.Server.summary);
+              ("alerts", S.Slo.verdict_to_json r.S.Server.slo);
+              ("flight_fired", Bool flight_fired) ])
+      in
+      Obs.Io.write_atomic path (fun oc ->
+          output_string oc (Obs.Json.to_string ~indent:true json ^ "\n"));
       Printf.printf "wrote %s\n" path
     | None -> ());
     match r.S.Server.mismatches with Some n when n > 0 -> exit 1 | _ -> ()

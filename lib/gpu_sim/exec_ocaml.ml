@@ -348,12 +348,7 @@ let timed counter f =
   r
 
 let read_file path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error _ | End_of_file -> ""
+  try Hidet_obs.Io.read_file path with Sys_error _ | End_of_file -> ""
 
 (* Compile one generated unit and claim its registered entry point. The
    unit (file and module) name is unique per process, so privately

@@ -304,11 +304,6 @@ let of_string s =
   | Invalid_argument msg -> failwith ("Graph_io.of_string: invalid graph: " ^ msg)
 
 let save g path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (to_string g))
+  Hidet_obs.Io.write_atomic path (fun oc -> output_string oc (to_string g))
 
-let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      of_string (really_input_string ic (in_channel_length ic)))
+let load path = of_string (Hidet_obs.Io.read_file path)

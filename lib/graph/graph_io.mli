@@ -24,6 +24,6 @@ val of_string : string -> Graph.t
 (** Raises [Failure] with a position-annotated message on malformed input. *)
 
 val save : Graph.t -> string -> unit
-(** [save g path] *)
+(** [save g path] writes {!to_string} through {!Hidet_obs.Io.write_atomic}. *)
 
 val load : string -> Graph.t

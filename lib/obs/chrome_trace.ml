@@ -1,26 +1,20 @@
-let add_args b attrs =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-    attrs;
-  Buffer.add_string b "}"
+(* Microsecond timestamps keep three decimals (nanoseconds): finer digits
+   are clock noise and would only make trace files bigger. *)
+let us x = Json.Num (Float.round (x *. 1000.) /. 1000.)
 
-let add_event b ev =
+let event_json ev =
+  let open Json in
+  let event name track ts_us attrs fields =
+    Obj
+      ((("name", Str name) :: fields)
+      @ [ ("pid", int 1); ("tid", int track); ("ts", us ts_us);
+          ("args", Obj (List.map (fun (k, v) -> (k, Str v)) attrs)) ])
+  in
   match (ev : Trace.event) with
   | Trace.Span { name; track; ts_us; dur_us; attrs } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":"
-         (Json.escape name) track ts_us dur_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    event name track ts_us attrs [ ("ph", Str "X"); ("dur", us dur_us) ]
   | Trace.Instant { name; track; ts_us; attrs } ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":"
-         (Json.escape name) track ts_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    event name track ts_us attrs [ ("ph", Str "i"); ("s", Str "t") ]
   | Trace.Flow { name; track; ts_us; id; dir; attrs } ->
     let ph =
       match dir with
@@ -30,44 +24,35 @@ let add_event b ev =
     in
     (* bp:e binds the step/end point to its enclosing slice, which is how
        Perfetto attaches the arrow to the span the point was emitted in. *)
-    let bp = match dir with Trace.Flow_start -> "" | _ -> ",\"bp\":\"e\"" in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%s\",\"id\":%d%s,\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":"
-         (Json.escape name) ph id bp track ts_us);
-    add_args b attrs;
-    Buffer.add_string b "}"
+    let bp = match dir with Trace.Flow_start -> [] | _ -> [ ("bp", Str "e") ] in
+    event name track ts_us attrs
+      (("cat", Str "flow") :: ("ph", Str ph) :: ("id", int id) :: bp)
 
 let to_string events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  let open Json in
   (* Name the process and each track; track 0 is the calling domain. *)
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"hidet\"}}";
+  let meta name tid label =
+    Obj
+      [ ("name", Str name); ("ph", Str "M"); ("pid", int 1); ("tid", int tid);
+        ("args", Obj [ ("name", Str label) ]) ]
+  in
   let tracks = List.sort_uniq compare (List.map Trace.event_track events) in
-  List.iter
-    (fun t ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           t
-           (if t = 0 then "domain 0 (main)" else Printf.sprintf "domain %d (worker)" t)))
-    tracks;
-  List.iter
-    (fun ev ->
-      Buffer.add_string b ",";
-      add_event b ev)
-    events;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let write oc events = output_string oc (to_string events)
+  Json.to_string
+  @@ Obj
+       [ ("displayTimeUnit", Str "ms");
+         ( "traceEvents",
+           Arr
+             ((meta "process_name" 0 "hidet"
+              :: List.map
+                   (fun t ->
+                     meta "thread_name" t
+                       (if t = 0 then "domain 0 (main)"
+                        else Printf.sprintf "domain %d (worker)" t))
+                   tracks)
+             @ List.map event_json events) ) ]
 
 let save path events =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc events);
-  Sys.rename tmp path
+  Io.write_atomic path (fun oc -> output_string oc (to_string events))
 
 (* --- validation --------------------------------------------------------------- *)
 
@@ -113,12 +98,6 @@ let check text =
       go events)
 
 let check_file path =
-  match open_in_bin path with
+  match Io.read_file path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    check text
+  | text -> check text

@@ -5,7 +5,8 @@
     complete ("ph":"X") events with microsecond [ts]/[dur], instants become
     "ph":"i" events, attributes become [args], and each {!Trace} track
     becomes one named thread so spans from tuner worker domains land on
-    their own rows. Events are emitted in start-time order.
+    their own rows. Events are emitted in start-time order, one compact
+    {!Json} value, with [ts]/[dur] rounded to the nanosecond.
 
     {!check} is the matching validator (used by [hidetc trace-check] and
     [make trace-smoke]): the file must parse as JSON, carry a [traceEvents]
@@ -13,13 +14,13 @@
     non-negative [ts]/[dur]. *)
 
 val to_string : Trace.event list -> string
-val write : out_channel -> Trace.event list -> unit
 
 val save : string -> Trace.event list -> unit
-(** Write atomically via a temp file, as the schedule cache does. *)
+(** Write {!to_string} to [path] through {!Io.write_atomic}. *)
 
 val check : string -> (int, string) result
 (** Validate trace JSON text; [Ok n] is the number of span/instant events
     (metadata records excluded). *)
 
 val check_file : string -> (int, string) result
+(** {!check} on a file; [Error] also when the file cannot be read. *)

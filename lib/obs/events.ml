@@ -118,35 +118,20 @@ let sort_events evs =
 
 (* --- JSONL ------------------------------------------------------------- *)
 
-let event_to_json ev =
-  let b = Buffer.create 96 in
-  (* %.17g: shortest decimal that round-trips any double, so the parsed
-     log compares bit-equal to the emitted one. *)
-  Buffer.add_string b (Printf.sprintf "{\"t\":%.17g,\"rid\":%d,\"ev\":\"%s\"" ev.t ev.rid (kind_to_string ev.kind));
-  if ev.attrs <> [] then begin
-    Buffer.add_string b ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-      ev.attrs;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+(* Json's shortest round-trip float printing keeps [t] bit-exact through
+   a save and parse. *)
+let event_json ev =
+  let open Json in
+  Obj
+    ([ ("t", Num ev.t); ("rid", int ev.rid); ("ev", Str (kind_to_string ev.kind)) ]
+    @
+    if ev.attrs = [] then []
+    else [ ("attrs", Obj (List.map (fun (k, v) -> (k, Str v)) ev.attrs)) ])
 
-let to_jsonl evs = String.concat "" (List.map (fun ev -> event_to_json ev ^ "\n") evs)
+let to_jsonl evs =
+  String.concat "" (List.map (fun ev -> Json.to_string (event_json ev) ^ "\n") evs)
 
-let save_jsonl path evs =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun ev ->
-      output_string oc (event_to_json ev);
-      output_char oc '\n')
-    evs;
-  close_out oc;
-  Sys.rename tmp path
+let save_jsonl path evs = Io.write_atomic path (fun oc -> output_string oc (to_jsonl evs))
 
 let event_of_json line =
   match Json.parse line with
@@ -279,11 +264,9 @@ let check s =
   | Ok evs -> check_lifecycle evs
 
 let check_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  check s
+  match Io.read_file path with
+  | exception Sys_error msg -> Error msg
+  | text -> check text
 
 (* --- flight recorder --------------------------------------------------- *)
 
@@ -307,24 +290,13 @@ module Flight = struct
   let m_dumps = Metrics.counter "obs.flight_dumps"
 
   let render ~reason ~rid ~t recent =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b
-      (Printf.sprintf "{\n  \"reason\": \"%s\",\n  \"rid\": %d,\n  \"t\": %.17g,\n"
-         (Json.escape reason) rid t);
-    let dump_list name evs =
-      Buffer.add_string b (Printf.sprintf "  \"%s\": [\n" name);
-      List.iteri
-        (fun i ev ->
-          if i > 0 then Buffer.add_string b ",\n";
-          Buffer.add_string b ("    " ^ event_to_json ev))
-        evs;
-      Buffer.add_string b "\n  ]"
-    in
-    dump_list "timeline" (List.filter (fun ev -> ev.rid = rid) recent);
-    Buffer.add_string b ",\n";
-    dump_list "recent" recent;
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
+    let events evs = Json.Arr (List.map event_json evs) in
+    Json.to_string ~indent:true
+      (Json.Obj
+         [ ("reason", Json.Str reason); ("rid", Json.int rid); ("t", Json.Num t);
+           ("timeline", events (List.filter (fun ev -> ev.rid = rid) recent));
+           ("recent", events recent) ])
+    ^ "\n"
 
   let trigger fr ~reason ~rid ~t () =
     let recent = sort_events (events fr.ring) in
@@ -339,11 +311,7 @@ module Flight = struct
     match Atomic.get fr.fired with
     | None -> false
     | Some d ->
-      let tmp = path ^ ".tmp" in
-      let oc = open_out tmp in
-      output_string oc d;
-      close_out oc;
-      Sys.rename tmp path;
+      Io.write_atomic path (fun oc -> output_string oc d);
       true
 end
 

@@ -5,7 +5,7 @@
     carries a stable request id and emits a small fixed vocabulary of
     lifecycle events with virtual timestamps and the batch/bucket/worker
     that handled it. The log is a bounded, domain-safe ring exported as
-    JSONL (one object per line) with a strict hand-rolled validator,
+    JSONL (one object per line) with a strict validator,
     mirroring {!Chrome_trace}. A {!Flight} recorder keeps a short ring
     of recent events and freezes it into a dump the first time something
     goes wrong. *)
@@ -56,13 +56,14 @@ val sort_events : event list -> event list
 
 (** {1 JSONL} *)
 
-val event_to_json : event -> string
-(** One line: [{"t":..,"rid":..,"ev":"..","attrs":{..}}] with [%.17g]
-    timestamps so floats round-trip exactly. *)
-
 val to_jsonl : event list -> string
+(** One compact {!Json} object per line,
+    [{"t":..,"rid":..,"ev":"..","attrs":{..}}] ([attrs] omitted when
+    empty); timestamps print as the shortest decimal that round-trips, so
+    the parsed log compares bit-equal to the emitted one. *)
+
 val save_jsonl : string -> event list -> unit
-(** Atomic (temp file + rename). *)
+(** {!to_jsonl} written through {!Io.write_atomic}. *)
 
 val parse_jsonl : string -> (event list, string) result
 (** Strict parse of a JSONL document (blank lines allowed). *)
@@ -77,6 +78,7 @@ val check : string -> (int * int, string) result
     [Dispatched]). [Ok (events, requests)] on success. *)
 
 val check_file : string -> (int * int, string) result
+(** {!check} on a file; [Error] also when the file cannot be read. *)
 
 (** {1 Flight recorder} *)
 
@@ -97,8 +99,8 @@ module Flight : sig
   val fired : t -> bool
   val dump : t -> string option
   val save : t -> string -> bool
-  (** Write the captured dump to [path] (atomic); [false] when nothing
-      fired. *)
+  (** Write the captured dump (indented {!Json}) to [path] through
+      {!Io.write_atomic}; [false] when nothing fired. *)
 end
 
 (** {1 Process-global sink}

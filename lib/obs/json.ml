@@ -6,8 +6,19 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+(* --- printer ---------------------------------------------------------------- *)
+
+let format_float v =
+  if Float.is_nan v then "null"
+  else if v = Float.infinity then "1e999"
+  else if v = Float.neg_infinity then "-1e999"
+  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else
+    let s = Printf.sprintf "%.12g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let add_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -16,11 +27,76 @@ let escape s =
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"'
+
+(* One line; [spaced] puts a space after each ',' and ':'. *)
+let rec add_line b ~spaced v =
+  let seq l r item xs =
+    Buffer.add_char b l;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b (if spaced then ", " else ",");
+        item x)
+      xs;
+    Buffer.add_char b r
+  in
+  match v with
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num x -> Buffer.add_string b (format_float x)
+  | Str s -> add_string b s
+  | Arr items -> seq '[' ']' (add_line b ~spaced) items
+  | Obj fields ->
+    seq '{' '}'
+      (fun (k, x) ->
+        add_string b k;
+        Buffer.add_string b (if spaced then ": " else ":");
+        add_line b ~spaced x)
+      fields
+
+(* The indented layout keeps a value on one line while that line fits in
+   [width] columns and otherwise puts its elements one per line, two
+   spaces deeper. *)
+let width = 80
+
+let to_string ?(indent = false) v =
+  let b = Buffer.create 256 in
+  let rec value depth col v =
+    let line = Buffer.create 64 in
+    add_line line ~spaced:true v;
+    let wide = col + Buffer.length line > width in
+    let seq l r item xs =
+      let pad d = "\n" ^ String.make (2 * d) ' ' in
+      Buffer.add_char b l;
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ',';
+          Buffer.add_string b (pad (depth + 1));
+          item x)
+        xs;
+      Buffer.add_string b (pad depth);
+      Buffer.add_char b r
+    in
+    match v with
+    | Arr (_ :: _ as items) when wide ->
+      seq '[' ']' (value (depth + 1) (2 * depth + 2)) items
+    | Obj (_ :: _ as fields) when wide ->
+      seq '{' '}'
+        (fun (k, x) ->
+          let start = Buffer.length b in
+          add_string b k;
+          Buffer.add_string b ": ";
+          value (depth + 1) (2 * depth + 2 + Buffer.length b - start) x)
+        fields
+    | _ -> Buffer.add_buffer b line
+  in
+  if indent then value 0 0 v else add_line b ~spaced:false v;
   Buffer.contents b
+
+let int n = Num (float_of_int n)
 
 (* --- parser ----------------------------------------------------------------- *)
 

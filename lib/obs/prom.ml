@@ -33,17 +33,14 @@ let escape_label_value v =
     v;
   Buffer.contents b
 
-(* Shortest decimal that re-parses to the same double; counts are
-   integers and render as such. *)
+(* Finite values print as JSON numbers do (shortest decimal that re-parses
+   to the same double; integers without a fraction); the non-finite ones
+   take the exposition format's spelling. *)
 let fmt_value v =
   if Float.is_nan v then "NaN"
   else if v = Float.infinity then "+Inf"
   else if v = Float.neg_infinity then "-Inf"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else
-    let s = Printf.sprintf "%.12g" v in
-    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+  else Json.format_float v
 
 let render_labels labels =
   match labels with
@@ -126,11 +123,7 @@ let to_string () = fst (of_dump (Metrics.dump ()))
 
 let save path =
   let s, n = of_dump (Metrics.dump ()) in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc s;
-  close_out oc;
-  Sys.rename tmp path;
+  Io.write_atomic path (fun oc -> output_string oc s);
   n
 
 (* --- validator --------------------------------------------------------- *)
@@ -370,8 +363,6 @@ let check s =
   match !err with Some e -> Error e | None -> Ok !samples
 
 let check_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  check s
+  match Io.read_file path with
+  | exception Sys_error msg -> Error msg
+  | text -> check text

@@ -23,7 +23,7 @@ val to_string : unit -> string
 (** [fst (of_dump (Metrics.dump ()))]. *)
 
 val save : string -> int
-(** Write the current registry to [path] (atomic: temp file + rename);
+(** Write the current registry to [path] through {!Io.write_atomic};
     returns the number of sample lines written. *)
 
 val check : string -> (int, string) result
@@ -35,3 +35,4 @@ val check : string -> (int, string) result
     its [_count], and a [_sum]. [Ok samples] on success. *)
 
 val check_file : string -> (int, string) result
+(** {!check} on a file; [Error] also when the file cannot be read. *)

@@ -19,8 +19,6 @@ type event =
       attrs : attr list;
     }
 
-let event_name = function Span s -> s.name | Instant i -> i.name | Flow f -> f.name
-
 let event_track = function
   | Span s -> s.track
   | Instant i -> i.track
@@ -34,11 +32,7 @@ let event_dur = function Span s -> s.dur_us | Instant _ | Flow _ -> 0.
 type buf = { lock : Mutex.t; mutable evs : event list }
 type recorder = Noop | Collect of buf
 
-let noop = Noop
-let collector () = Collect { lock = Mutex.create (); evs = [] }
 let current : recorder Atomic.t = Atomic.make Noop
-let set_recorder r = Atomic.set current r
-let recorder () = Atomic.get current
 let enabled () = Atomic.get current != Noop
 
 let record buf ev =
@@ -108,8 +102,6 @@ type span =
       buf : buf;
     }
 
-let null_span = Null
-
 let enter ?(attrs = []) name =
   match Atomic.get current with
   | Noop -> Null
@@ -162,8 +154,8 @@ let flow ?(attrs = []) ~id ~dir name =
     record buf (Flow { name; track = track (); ts_us = Clock.now_us (); id; dir; attrs })
 
 let with_collector f =
-  let r = collector () in
-  let prev = recorder () in
-  set_recorder r;
-  let v = Fun.protect ~finally:(fun () -> set_recorder prev) f in
+  let r = Collect { lock = Mutex.create (); evs = [] } in
+  let prev = Atomic.get current in
+  Atomic.set current r;
+  let v = Fun.protect ~finally:(fun () -> Atomic.set current prev) f in
   (v, events r)

@@ -1,12 +1,12 @@
 (** Structured tracing: nestable spans with process-relative timestamps and
     key/value attributes.
 
-    Instrumented code talks to a process-global {e recorder}. The default is
-    {!noop}: every operation then reduces to one atomic load (and {!enter}
-    returns a shared constant), so instrumentation costs ~nothing when
-    tracing is off. Installing a {!collector} turns the same call sites into
-    an in-memory event log that the exporters ({!Chrome_trace}, {!Summary})
-    render.
+    Instrumented code talks to a process-global {e recorder}. The default
+    discards everything: every operation then reduces to one atomic load
+    (and {!enter} returns a shared constant), so instrumentation costs
+    ~nothing when tracing is off. {!with_collector} installs an in-memory
+    collector for the duration of a call, turning the same call sites into
+    an event log that the exporters ({!Chrome_trace}, {!Summary}) render.
 
     Domain safety: events may be recorded from any domain (the tuner's
     worker domains included). Each domain records onto its own {e track} — a
@@ -41,52 +41,31 @@ type event =
       attrs : attr list;
     }
 
-val event_name : event -> string
 val event_track : event -> int
-val event_ts : event -> float
-
-(** {1 Recorders} *)
-
-type recorder
-
-val noop : recorder
-(** Discards everything; the process-global default. *)
-
-val collector : unit -> recorder
-(** A fresh in-memory event buffer (mutex-protected). *)
-
-val events : recorder -> event list
-(** Events recorded so far, sorted by start time (ties: longer span first,
-    so a parent precedes its children). Empty for {!noop}. *)
-
-val set_recorder : recorder -> unit
-val recorder : unit -> recorder
 
 val enabled : unit -> bool
-(** [true] iff the current recorder is not {!noop}. One atomic load. *)
+(** [true] iff a collector is installed. One atomic load. *)
 
 (** {1 Spans} *)
 
 type span
-(** An open span handle. With the no-op recorder, handles are a shared
-    constant and all operations on them are free. *)
-
-val null_span : span
+(** An open span handle. With tracing off, handles are a shared constant
+    and all operations on them are free. *)
 
 val enter : ?attrs:attr list -> string -> span
 (** Open a span at the current time on the calling domain's track. *)
 
 val add : span -> string -> string -> unit
 (** Attach an attribute to an open span (e.g. a result discovered while the
-    span was running). No-op on {!null_span}. *)
+    span was running). No-op when tracing is off. *)
 
 val exit : span -> unit
-(** Close the span and record it. No-op on {!null_span}. *)
+(** Close the span and record it. No-op when tracing is off. *)
 
 val span : ?attrs:(unit -> attr list) -> string -> (span -> 'a) -> 'a
 (** [span name f] runs [f] inside a span, passing the open handle so [f]
-    can {!add} attributes it discovers while running ({!null_span} when
-    tracing is off). [attrs] is a thunk so attribute lists are never built
+    can {!add} attributes it discovers while running (a free no-op
+    handle when tracing is off). [attrs] is a thunk so attribute lists are never built
     when tracing is off. If [f] raises, the span is recorded with an
     ["error"] attribute and the exception rethrown. *)
 
@@ -104,4 +83,6 @@ val flow : ?attrs:attr list -> id:int -> dir:flow_dir -> string -> unit
 
 val with_collector : (unit -> 'a) -> 'a * event list
 (** Run [f] with a fresh collector installed, restoring the previous
-    recorder afterwards; returns [f]'s result and the collected events. *)
+    recorder afterwards; returns [f]'s result and the collected events,
+    sorted by start time (ties: longer span first, so a parent precedes its
+    children). *)

@@ -72,11 +72,7 @@ let sanitize s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
 
 let save_tsv path entries =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Io.write_atomic path (fun oc ->
       (* The proposer column is appended last so readers of the original
          six-column format keep working unchanged. *)
       output_string oc
@@ -88,8 +84,7 @@ let save_tsv path entries =
             (outcome_to_string t.outcome)
             (if t.latency < infinity then t.latency *. 1e6 else -1.)
             (proposer_to_string t.proposer))
-        entries);
-  Sys.rename tmp path
+        entries)
 
 (* Accepts both the original six-column rows (proposer defaults to
    [Exhaustive] — every pre-proposer trial came from the exhaustive

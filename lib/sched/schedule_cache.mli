@@ -88,7 +88,8 @@ val stale : unit -> int
     processes ([bench/main.exe --cache], [hidetc --cache]). *)
 
 val save : string -> unit
-(** Write the whole cache to [path] (atomically, via a temp file). *)
+(** Write the whole cache to [path] through {!Hidet_obs.Io.write_atomic}
+    (a temp file unique per process and call, then a rename). *)
 
 val load : string -> (int, string) result
 (** Merge entries from [path] into the cache; returns how many loaded.

@@ -8,7 +8,7 @@ module Trace = Hidet_obs.Trace
 
 module Shard = Hidet_shard.Shard
 
-type source = Zoo of string | File of string | Graph of G.t
+type source = Zoo of string | Graph of G.t
 
 type variant = {
   bucket : int;
@@ -33,7 +33,6 @@ let m_variants = Metrics.counter "serve.variants_compiled"
 
 let base_graph = function
   | Graph g -> g
-  | File path -> Hidet_graph.Graph_io.load path
   | Zoo name -> (
     if List.mem_assoc name M.all then M.by_name ~batch:1 name
     else

@@ -16,8 +16,9 @@ type source =
       (** a paper-zoo name ([Models.by_name], batch-parameterized builder)
           or a tiny test model ([Models.tiny_all], rebatched via
           {!Hidet_graph.Passes.rebatch}) *)
-  | File of string  (** an HGF graph file; rebatched via [Passes.rebatch] *)
-  | Graph of Hidet_graph.Graph.t  (** an in-memory batch-variant-1 graph *)
+  | Graph of Hidet_graph.Graph.t
+      (** an in-memory batch-variant-1 graph (e.g. a loaded HGF file);
+          rebatched via [Passes.rebatch] *)
 
 type variant = {
   bucket : int;

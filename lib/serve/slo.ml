@@ -147,28 +147,18 @@ let evaluate cfg samples =
 let fired v = List.exists (fun a -> a.fired) v.alerts
 
 let verdict_to_json v =
-  let b = Buffer.create 512 in
-  let fin x =
-    if Float.is_nan x then "null"
-    else if x = Float.infinity then "1e999"
-    else Printf.sprintf "%.9g" x
+  let open Hidet_obs.Json in
+  let alert a =
+    Obj
+      [ ("rule", Str a.rule.rname); ("fired", Bool a.fired);
+        ("at", if a.fired then Num a.at else Null);
+        ("fast_window_s", Num a.rule.fast); ("slow_window_s", Num a.rule.slow);
+        ("burn_threshold", Num a.rule.burn); ("fast_burn", Num a.fast_burn);
+        ("slow_burn", Num a.slow_burn) ]
   in
-  Buffer.add_string b
-    (Printf.sprintf "{\"total\": %d, \"bad\": %d, \"miss_ratio\": %s, \"budget\": %s, \"alerts\": ["
-       v.total v.bad (fin v.miss_ratio) (fin v.budget));
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"rule\": \"%s\", \"fired\": %b, \"at\": %s, \"fast_window_s\": %s, \"slow_window_s\": %s, \"burn_threshold\": %s, \"fast_burn\": %s, \"slow_burn\": %s}"
-           a.rule.rname a.fired
-           (if a.fired then fin a.at else "null")
-           (fin a.rule.fast) (fin a.rule.slow) (fin a.rule.burn) (fin a.fast_burn)
-           (fin a.slow_burn)))
-    v.alerts;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Obj
+    [ ("total", int v.total); ("bad", int v.bad); ("miss_ratio", Num v.miss_ratio);
+      ("budget", Num v.budget); ("alerts", Arr (List.map alert v.alerts)) ]
 
 let pp_verdict fmt v =
   List.iter

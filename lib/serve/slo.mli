@@ -56,8 +56,9 @@ val evaluate : config -> sample list -> verdict
 val fired : verdict -> bool
 (** Whether any rule fired. *)
 
-val verdict_to_json : verdict -> string
-(** Machine-readable [alerts] section for serve JSON output. *)
+val verdict_to_json : verdict -> Hidet_obs.Json.t
+(** Machine-readable [alerts] section for serve JSON output. An unfired
+    alert's [at] is [null]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 (** One ["  alert ..."] line per rule, matching {!Server.pp_report}'s

@@ -1,6 +1,7 @@
 (* Tests for the observability layer: span nesting and containment, the
    Chrome trace-event export (including flow arcs) and its validator, the
-   hand-written JSON parser, always-on metrics summing exactly across
+   JSON printer and parser (round trip over random values), atomic file
+   writes, always-on metrics summing exactly across
    domains, labeled instruments and the Prometheus exposition, the
    request-lifecycle event log and flight recorder, the tuner's
    per-candidate spans and tuning-log records, and the cost of the
@@ -10,6 +11,7 @@ module Trace = Hidet_obs.Trace
 module Metrics = Hidet_obs.Metrics
 module Chrome = Hidet_obs.Chrome_trace
 module Json = Hidet_obs.Json
+module Io = Hidet_obs.Io
 module Events = Hidet_obs.Events
 module Prom = Hidet_obs.Prom
 module Tlog = Hidet_obs.Tuning_log
@@ -297,11 +299,116 @@ let test_json_parse () =
   | Ok _ -> Alcotest.fail "malformed accepted"
   | Error _ -> ()
 
-let test_json_escape_roundtrip () =
-  let s = "tab\t nl\n quote\" backslash\\ ctrl\x01" in
-  match Json.parse ("\"" ^ Json.escape s ^ "\"") with
-  | Ok (Json.Str s') -> Alcotest.(check string) "roundtrip" s s'
-  | _ -> Alcotest.fail "escaped string does not parse"
+(* --- JSON printer -------------------------------------------------------------- *)
+
+(* Random values for the print/parse round trip: strings over all 256 byte
+   values, and floats from every class the printer tells apart — raw bit
+   patterns (subnormals and nan payloads included), integers, and the
+   edge values by name. *)
+let gen_json =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        map float_of_int int;
+        oneofl
+          [ 0.; -0.; Float.nan; Float.infinity; Float.neg_infinity; 5e-324;
+            2.2250738585072009e-308; Float.min_float; Float.max_float; 1e15;
+            0.1 ];
+      ]
+  in
+  let str = string_size ~gen:char (0 -- 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4)))) );
+             ])
+
+(* What parsing gives back: nan prints as null. *)
+let rec json_expected = function
+  | Json.Num f when Float.is_nan f -> Json.Null
+  | Json.Arr l -> Json.Arr (List.map json_expected l)
+  | Json.Obj l -> Json.Obj (List.map (fun (k, v) -> (k, json_expected v)) l)
+  | v -> v
+
+let json_roundtrips v =
+  List.for_all
+    (fun indent -> Json.parse (Json.to_string ~indent v) = Ok (json_expected v))
+    [ false; true ]
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = v, both layouts" ~count:500
+    (QCheck.make ~print:(fun v -> Json.to_string v) gen_json)
+    (fun v ->
+      json_roundtrips v
+      (* JSONL and traces need the compact layout on one line. *)
+      && not (String.contains (Json.to_string v) '\n'))
+
+let test_json_print () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (String.escaped s) true (json_roundtrips (Json.Str s)))
+    [ "tab\t nl\n quote\" backslash\\ ctrl\x01"; String.init 256 Char.chr ];
+  let print v = Json.to_string (Json.Arr [ v ]) in
+  Alcotest.(check string) "nan" "[null]" (print (Json.Num Float.nan));
+  Alcotest.(check string) "inf" "[1e999]" (print (Json.Num Float.infinity));
+  Alcotest.(check string) "-inf" "[-1e999]" (print (Json.Num Float.neg_infinity));
+  Alcotest.(check string) "integer" "[42]" (print (Json.int 42));
+  Alcotest.(check string) "shortest" "[0.1]" (print (Json.Num 0.1));
+  let short =
+    Json.Obj [ ("a", Json.Arr [ Json.int 1; Json.Str "x" ]); ("b", Json.Obj []) ]
+  in
+  Alcotest.(check string) "indented, fits on a line" "{\"a\": [1, \"x\"], \"b\": {}}"
+    (Json.to_string ~indent:true short);
+  let long = String.make 70 'x' in
+  Alcotest.(check string) "indented, too wide for a line"
+    (Printf.sprintf
+       "{\n  \"s\": \"%s\",\n  \"o\": {\"a\": [1, \"x\"], \"b\": {}}\n}" long)
+    (Json.to_string ~indent:true (Json.Obj [ ("s", Json.Str long); ("o", short) ]))
+
+(* --- atomic file writes ---------------------------------------------------------- *)
+
+let test_write_atomic_failure () =
+  let dir = Filename.temp_dir "hidet_io" "" in
+  let path = Filename.concat dir "out.json" in
+  Io.write_atomic path (fun oc -> output_string oc "old");
+  (match
+     Io.write_atomic path (fun oc ->
+         output_string oc "partial";
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the writer's exception was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check string) "previous file intact" "old" (Io.read_file path);
+  Alcotest.(check (list string)) "no temp file left beside it" [ "out.json" ]
+    (Array.to_list (Sys.readdir dir));
+  Sys.remove path;
+  Sys.rmdir dir
+
+(* `hidetc trace-check` turns an [Error] into one diagnostic line; an
+   unreadable file must not escape as [Sys_error]. *)
+let test_check_file_unreadable () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "hidet_obs_missing" in
+  Alcotest.(check bool) "trace" true (Result.is_error (Chrome.check_file missing));
+  Alcotest.(check bool) "events" true (Result.is_error (Events.check_file missing));
+  Alcotest.(check bool) "prom" true (Result.is_error (Prom.check_file missing))
 
 (* --- metrics ------------------------------------------------------------------ *)
 
@@ -873,7 +980,12 @@ let () =
       ( "json",
         [
           Alcotest.test_case "parser" `Quick test_json_parse;
-          Alcotest.test_case "escape roundtrip" `Quick test_json_escape_roundtrip;
+          Alcotest.test_case "printer" `Quick test_json_print;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "write_atomic keeps the old file on failure" `Quick
+            test_write_atomic_failure;
+          Alcotest.test_case "validators report unreadable files" `Quick
+            test_check_file_unreadable;
         ] );
       ( "metrics",
         [
